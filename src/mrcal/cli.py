@@ -191,9 +191,14 @@ def cmd_eval(args) -> int:
             preds = _oracle_predictions(data_dir, samples)
         else:
             preds = _model_predictions(args.model, samples)
-    except (OSError, KeyError, core.ContainerError, model.ArchitectureMismatch) as exc:
+    except (
+        OSError, KeyError, json.JSONDecodeError, core.ContainerError, model.ArchitectureMismatch
+    ) as exc:
         _diag(f"cannot load model/predictions: {exc}")
         return EXIT_IO
+    except core.NonFiniteValues as exc:
+        _diag(f"non-finite predictions: {exc}")
+        return EXIT_NUMERIC
 
     cfg = EvalConfig(
         num_bins=args.bins,

@@ -51,6 +51,10 @@ class DimOverflow(ContainerError):
     pass
 
 
+class NonFiniteValues(ValueError):
+    """A probability map holds NaN or infinite values."""
+
+
 class DatasetError(Exception):
     """Base class for manifest / dataset loading failures."""
 
@@ -69,6 +73,10 @@ class DimensionMismatch(DatasetError):
 
 class RaterCountMismatch(DatasetError):
     pass
+
+
+class CorruptFile(DatasetError):
+    """A dataset file exists but is not a valid MRC1 container of the right shape."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -165,6 +173,15 @@ class RaterStack:
         return np.stack([m.data for m in self.raters])
 
 
+def _finite_range(vals: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a probability array; NonFiniteValues if any value is NaN or inf."""
+    lo, hi = vals.min(), vals.max()  # a NaN anywhere makes both NaN
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        bad = int(np.count_nonzero(~np.isfinite(vals)))
+        raise NonFiniteValues(f"{bad} of {vals.size} probabilities are NaN or infinite")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class ForegroundProbMap:
     """Per-voxel foreground probabilities in [0,1]."""
@@ -172,18 +189,19 @@ class ForegroundProbMap:
     grid: Grid2D
 
     def __post_init__(self):
-        vals = self.grid.data
-        if vals.min() < 0.0 or vals.max() > 1.0:
+        lo, hi = _finite_range(self.grid.data)
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("ForegroundProbMap values must lie in [0,1]")
 
     @classmethod
     def from_array(cls, arr: np.ndarray, clamp_tol: float = 1e-6) -> "ForegroundProbMap":
         """Build from floats; excursions up to clamp_tol outside [0,1] are clamped."""
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.min() < -clamp_tol or arr.max() > 1.0 + clamp_tol:
+        lo, hi = _finite_range(arr)
+        if lo < -clamp_tol or hi > 1.0 + clamp_tol:
             raise ValueError(
                 f"probabilities outside [-{clamp_tol}, 1+{clamp_tol}]: "
-                f"min={arr.min()}, max={arr.max()}"
+                f"min={lo}, max={hi}"
             )
         return cls(Grid2D(np.clip(arr, 0.0, 1.0)))
 
@@ -271,7 +289,12 @@ def read_container(path):
         raise TruncatedPayload(
             f"{path}: expected {expected} bytes, file has {len(raw)}"
         )
-    arr = np.frombuffer(raw[dim_end:expected], dtype=np_dtype).reshape(dims)
+    if len(raw) > expected:
+        raise ContainerError(
+            f"{path}: expected {expected} bytes, file has {len(raw)} "
+            f"({len(raw) - expected} trailing)"
+        )
+    arr = np.frombuffer(raw[dim_end:], dtype=np_dtype).reshape(dims)
     return dtype, dims, arr
 
 
@@ -334,6 +357,13 @@ def parse_manifest(manifest_path) -> DatasetManifest:
     return manifest
 
 
+def _read_dataset_file(reader, path):
+    try:
+        return reader(path)
+    except ContainerError as exc:
+        raise CorruptFile(str(exc)) from exc
+
+
 def load_dataset(manifest_path) -> dict[str, list[Sample]]:
     """Load every sample referenced by a manifest, grouped by split.
 
@@ -352,13 +382,13 @@ def load_dataset(manifest_path) -> dict[str, list[Sample]]:
         image_file = root / entry.image_path
         if not image_file.exists():
             raise MissingFile(str(image_file))
-        image = read_image(image_file)
+        image = _read_dataset_file(read_image, image_file)
         masks = []
         for rp in entry.rater_paths:
             rater_file = root / rp
             if not rater_file.exists():
                 raise MissingFile(str(rater_file))
-            mask = read_mask(rater_file)
+            mask = _read_dataset_file(read_mask, rater_file)
             if mask.shape != image.shape:
                 raise DimensionMismatch(
                     f"sample {entry.id!r}: image {image.shape} vs rater mask "

@@ -2,9 +2,25 @@
 
 Architecture: 3x3 conv (1 -> C_h, pad 1) + ReLU, 3x3 conv (C_h -> C_h, pad 1)
 + ReLU, 1x1 head (C_h -> C_out). C_out = 1 trains a sigmoid foreground head;
-C_out = K+1 trains the softmax ordinal-consensus head. Convolutions are
-implemented as im2col matmuls; backward passes are exact reverse-mode
-gradients, verified against finite differences in the test suite.
+C_out = K+1 trains the softmax ordinal-consensus head.
+
+Convolutions are im2col matmuls over channels-first columns: `_im2col` maps a
+(C, H, W) input to a (C*9, H*W) matrix, so a conv is one (C_out, C_in*9) @
+(C_in*9, H*W) product. The forward pass caches both convs' columns and the
+backward pass reuses them for the weight gradients instead of rebuilding
+them. The conv2 input gradient is the flipped-kernel correlation over the
+columns of the upstream gradient; conv1's input gradient (the gradient with
+respect to the image) is never needed, so it is not computed. Backward passes
+are exact reverse-mode gradients, verified against finite differences and a
+direct-loop convolution in the test suite.
+
+Two arrays are stored pixel-major ((H, W, C) in memory, see
+`_pixel_major_like`): conv2's ReLU output, which the head's einsums read, and
+conv1's output gradient, which its weight and bias gradients reduce. numpy's
+einsum and sums and OpenBLAS's small-matrix kernels round in memory order, and
+this is the order these reductions have always used, so with one BLAS thread a
+trained checkpoint stays byte-identical to the one the per-pixel im2col layout
+of earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -111,45 +127,59 @@ class TinyNet:
             offset += p.size
 
 
-def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x: (C_in, H, W); w: (C_out, C_in, 3, 3). Zero padding 1."""
-    c_in, h, wd = x.shape
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """Channels-first 3x3 columns of x (C, H, W), zero padding 1: (C*9, H*W).
+
+    Row c*9 + 3*dy + dx holds x[c, i + dy - 1, j + dx - 1] at column i*W + j,
+    matching w.reshape(C_out, C*9) for w of shape (C_out, C, 3, 3).
+    """
+    c, h, wd = x.shape
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (C_in, H, W, 3, 3)
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * wd, c_in * 9)
-    out = cols @ w.reshape(w.shape[0], -1).T + b
-    return out.T.reshape(w.shape[0], h, wd)
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (C, H, W, 3, 3)
+    return windows.transpose(0, 3, 4, 1, 2).reshape(c * 9, h * wd)
 
 
-def _conv3x3_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    """Gradients of a padded 3x3 conv: returns (d_x, d_w, d_b)."""
-    c_in, h, wd = x.shape
+def _conv3x3(cols: np.ndarray, w: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
+    """Padded 3x3 conv from `_im2col` columns; w: (C_out, C_in, 3, 3).
+
+    Returns (C_out, H, W) for shape = (H, W).
+    """
     c_out = w.shape[0]
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * wd, c_in * 9)
-    d_flat = d_out.reshape(c_out, h * wd)
-    d_w = (d_flat @ cols).reshape(w.shape)
-    d_b = d_flat.sum(axis=1)
-    # input gradient = correlation of d_out with the flipped kernel
-    d_pad = np.pad(d_out, ((0, 0), (1, 1), (1, 1)))
-    d_windows = sliding_window_view(d_pad, (3, 3), axis=(1, 2))
-    d_cols = d_windows.transpose(1, 2, 0, 3, 4).reshape(h * wd, c_out * 9)
+    return (w.reshape(c_out, -1) @ cols + b[:, None]).reshape(c_out, *shape)
+
+
+def _conv3x3_param_grads(cols: np.ndarray, w: np.ndarray, d_out: np.ndarray):
+    """Weight and bias gradients of a padded 3x3 conv from its forward columns."""
+    d_flat = d_out.reshape(w.shape[0], -1)
+    return (d_flat @ cols.T).reshape(w.shape), d_flat.sum(axis=1)
+
+
+def _conv3x3_input_grad(w: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """Input gradient of a padded 3x3 conv: d_out correlated with the flipped kernel."""
+    c_out, c_in = w.shape[:2]
     w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * 9)
-    d_x = (d_cols @ w_flip.T).T.reshape(c_in, h, wd)
-    return d_x, d_w, d_b
+    return (w_flip @ _im2col(d_out)).reshape(c_in, *d_out.shape[1:])
+
+
+def _pixel_major_like(x: np.ndarray) -> np.ndarray:
+    """An empty array shaped like x (C, H, W) but stored pixel-major, (H, W, C)
+    in memory: reductions over it round as they did before (module docstring)."""
+    c, h, wd = x.shape
+    return np.empty((h, wd, c)).transpose(2, 0, 1)
 
 
 def _forward_logits(net: TinyNet, image: np.ndarray):
     """Raw head outputs (C_out, H, W) plus the caches backward needs."""
-    x0 = image[None]  # (1, H, W)
-    z1 = _conv3x3(x0, net.params["w1"], net.params["b1"])
+    shape = image.shape
+    cols1 = _im2col(image[None])
+    z1 = _conv3x3(cols1, net.params["w1"], net.params["b1"], shape)
     a1 = np.maximum(z1, 0.0)
-    z2 = _conv3x3(a1, net.params["w2"], net.params["b2"])
-    a2 = np.maximum(z2, 0.0)
+    cols2 = _im2col(a1)
+    z2 = _conv3x3(cols2, net.params["w2"], net.params["b2"], shape)
+    a2 = np.maximum(z2, 0.0, out=_pixel_major_like(z2))
     w3 = net.params["w3"][:, :, 0, 0]  # (C_out, C_h)
     logits = np.einsum("oc,chw->ohw", w3, a2) + net.params["b3"][:, None, None]
-    cache = {"x0": x0, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
+    cache = {"cols1": cols1, "z1": z1, "a1": a1, "cols2": cols2, "z2": z2, "a2": a2}
     return logits, cache
 
 
@@ -178,9 +208,10 @@ def backward(net: TinyNet, cache: dict, d_logits: np.ndarray) -> dict[str, np.nd
     d_b3 = d_logits.sum(axis=(1, 2))
     d_a2 = np.einsum("oc,ohw->chw", w3, d_logits)
     d_z2 = d_a2 * (cache["z2"] > 0)
-    d_a1, d_w2, d_b2 = _conv3x3_backward(cache["a1"], net.params["w2"], d_z2)
-    d_z1 = d_a1 * (cache["z1"] > 0)
-    _, d_w1, d_b1 = _conv3x3_backward(cache["x0"], net.params["w1"], d_z1)
+    d_w2, d_b2 = _conv3x3_param_grads(cache["cols2"], net.params["w2"], d_z2)
+    d_a1 = _conv3x3_input_grad(net.params["w2"], d_z2)
+    d_z1 = np.multiply(d_a1, cache["z1"] > 0, out=_pixel_major_like(d_a1))
+    d_w1, d_b1 = _conv3x3_param_grads(cache["cols1"], net.params["w1"], d_z1)
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "w3": d_w3, "b3": d_b3}
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import child_env
 from mrcal.cli import _parse_grid, main
+from mrcal.core import read_container, write_container
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,63 @@ class TestTrainEval:
         )
         assert code == 1
         assert err != ""
+
+    def test_corrupt_sidecar_is_io_error(self, capsys, dataset, tmp_path):
+        ckpt = tmp_path / "model.mrc"
+        run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps",
+            "--epochs", "1", "--out", str(ckpt),
+        )
+        ckpt.with_suffix(".mrc.json").write_text("{bad")
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--model", str(ckpt), "--data", str(dataset), "--split", "test",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load model/predictions:")
+        assert err.count("\n") == 1
+
+    def test_nan_pixel_is_numeric_error(self, capsys, dataset, tmp_path):
+        ckpt = tmp_path / "model.mrc"
+        run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps",
+            "--epochs", "1", "--out", str(ckpt),
+        )
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(s for s in manifest["samples"] if s["split"] == "test")
+        image_path = data / entry["image_path"]
+        dtype, dims, image = read_container(image_path)
+        image = np.array(image, dtype=np.float32)
+        image[2, 3] = np.nan
+        write_container(dtype, dims, image, image_path)
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--model", str(ckpt), "--data", str(data), "--split", "test",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("non-finite predictions:")
+        assert err.count("\n") == 1
+
+    def test_trailing_bytes_in_dataset_is_io_error(self, capsys, dataset, tmp_path):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        image_path = data / manifest["samples"][0]["image_path"]
+        image_path.write_bytes(image_path.read_bytes() + b"xx")
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--model", "oracle", "--data", str(data), "--split", "test",
+        )
+        assert code == 1
+        assert out == ""
+        assert "2 trailing" in err
+        assert err.count("\n") == 1
 
 
 class TestSweep:

@@ -8,11 +8,13 @@ from mrcal.core import (
     DTYPE_U8,
     BadMagic,
     BinaryMask,
+    ContainerError,
     DimensionMismatch,
     ForegroundProbMap,
     Grid2D,
     ManifestParseError,
     MissingFile,
+    NonFiniteValues,
     RaterCountMismatch,
     RaterStack,
     TruncatedPayload,
@@ -55,6 +57,14 @@ def test_truncated_payload(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     with pytest.raises(TruncatedPayload):
+        read_container(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "a.mrc"
+    write_container(DTYPE_F32, (4, 4), np.zeros((4, 4)), path)
+    path.write_bytes(path.read_bytes() + b"xx")
+    with pytest.raises(ContainerError, match="expected 80 bytes, file has 82"):
         read_container(path)
 
 
@@ -120,6 +130,15 @@ def test_prob_map_bounds():
     # tiny excursions clamp
     pm = ForegroundProbMap.from_array(np.array([[1.0 + 5e-7]]))
     assert pm.data[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prob_map_rejects_non_finite(bad):
+    arr = np.array([[0.5, bad], [0.2, 0.7]])
+    with pytest.raises(NonFiniteValues, match="1 of 4"):
+        ForegroundProbMap.from_array(arr)
+    with pytest.raises(NonFiniteValues):
+        ForegroundProbMap(Grid2D(arr))
 
 
 def _write_dataset(tmp_path, num_raters=3, n=2, break_dims=False, drop_rater=False):

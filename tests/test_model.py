@@ -161,6 +161,94 @@ class TestBackward:
         assert (grads["b1"] == 0).all()
 
 
+def naive_conv3x3(x, w, b):
+    """Zero-padded 3x3 conv as a direct loop: x (C_in, H, W), w (C_out, C_in, 3, 3)."""
+    c_in, h, wd = x.shape
+    out = np.empty((w.shape[0], h, wd))
+    for o in range(w.shape[0]):
+        for i in range(h):
+            for j in range(wd):
+                acc = b[o]
+                for c in range(c_in):
+                    for dy in range(3):
+                        for dx in range(3):
+                            ii, jj = i + dy - 1, j + dx - 1
+                            if 0 <= ii < h and 0 <= jj < wd:
+                                acc += w[o, c, dy, dx] * x[c, ii, jj]
+                out[o, i, j] = acc
+    return out
+
+
+def naive_conv3x3_backward(x, w, d_out):
+    """(d_x, d_w, d_b) of `naive_conv3x3`, each output pixel scattered back by loop."""
+    c_in, h, wd = x.shape
+    d_x = np.zeros_like(x)
+    d_w = np.zeros_like(w)
+    for o in range(w.shape[0]):
+        for i in range(h):
+            for j in range(wd):
+                g = d_out[o, i, j]
+                for c in range(c_in):
+                    for dy in range(3):
+                        for dx in range(3):
+                            ii, jj = i + dy - 1, j + dx - 1
+                            if 0 <= ii < h and 0 <= jj < wd:
+                                d_w[o, c, dy, dx] += g * x[c, ii, jj]
+                                d_x[c, ii, jj] += g * w[o, c, dy, dx]
+    return d_x, d_w, d_out.sum(axis=(1, 2))
+
+
+def naive_net(params, image, d_logits):
+    """TinyNet's logits and parameter gradients from the direct-loop conv."""
+    x0 = image[None]
+    z1 = naive_conv3x3(x0, params["w1"], params["b1"])
+    a1 = np.maximum(z1, 0.0)
+    z2 = naive_conv3x3(a1, params["w2"], params["b2"])
+    a2 = np.maximum(z2, 0.0)
+    w3 = params["w3"][:, :, 0, 0]
+    logits = np.zeros((w3.shape[0],) + image.shape)
+    d_a2 = np.zeros_like(a2)
+    d_w3 = np.zeros_like(w3)
+    for o in range(w3.shape[0]):
+        logits[o] = params["b3"][o]
+        for c in range(w3.shape[1]):
+            logits[o] += w3[o, c] * a2[c]
+            d_a2[c] += w3[o, c] * d_logits[o]
+            d_w3[o, c] = (d_logits[o] * a2[c]).sum()
+    d_a1, d_w2, d_b2 = naive_conv3x3_backward(a1, params["w2"], d_a2 * (z2 > 0))
+    _, d_w1, d_b1 = naive_conv3x3_backward(x0, params["w1"], d_a1 * (z1 > 0))
+    grads = {
+        "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2,
+        "w3": d_w3[:, :, None, None], "b3": d_logits.sum(axis=(1, 2)),
+    }
+    return logits, grads
+
+
+class TestConvOracle:
+    """The im2col kernels against a direct-loop convolution on non-square
+    images. conv1 always has C_in = 1; conv2's C_in is the hidden width, 1 or 3."""
+
+    @pytest.mark.parametrize(
+        "hidden, out, h, w", [(1, 1, 5, 7), (3, 4, 6, 4), (3, 1, 3, 8)]
+    )
+    def test_matches_direct_loop(self, hidden, out, h, w):
+        rng = np.random.default_rng(hidden * 100 + out * 10 + h)
+        net = TinyNet.init(out, hidden_channels=hidden, seed=h)
+        for name in ("b1", "b2", "b3"):
+            net.params[name] = rng.normal(scale=0.5, size=net.params[name].shape)
+        image = rng.random((h, w))
+        d_logits = rng.normal(size=(out, h, w))
+
+        logits, cache = _forward_logits(net, image)
+        grads = backward(net, cache, d_logits)
+        ref_logits, ref_grads = naive_net(net.params, image, d_logits)
+
+        np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+        for name in PARAM_NAMES:
+            assert grads[name].shape == net.params[name].shape
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+
 class TestTraining:
     def test_empty_split(self):
         with pytest.raises(EmptyTrainSplit):
