@@ -172,6 +172,12 @@ def _oracle_predictions(data_dir: Path, samples):
 
 def _model_predictions(model_path: str, samples):
     checkpoint = Checkpoint.load(model_path)
+    k = samples[0].annotations.num_raters
+    if checkpoint.num_raters != k:
+        raise model.ArchitectureMismatch(
+            f"{model_path}: checkpoint was trained on K={checkpoint.num_raters} raters, "
+            f"dataset has K={k}"
+        )
     return [predict(checkpoint, s.image).data for s in samples]
 
 
@@ -209,8 +215,8 @@ def cmd_eval(args) -> int:
     )
     stacks = [s.annotations for s in samples]
     report = bootstrap_eval(preds, stacks, cfg)
-    _, bins = mr_ece(preds, stacks, cfg)
     if args.reliability:
+        _, bins = mr_ece(preds, stacks, cfg)
         reliability_csv(bins, args.reliability)
         report.bins_csv_path = str(args.reliability)
     report.notes = {

@@ -12,6 +12,9 @@ this package writes to disk:
 
 u8 files loaded as probabilities are rescaled by value/255 (never reinterpreted
 bitwise).
+
+A RaterStack is one image's K rater masks as one read-only (K, H, W) uint8 array;
+its `votes` and `majority` are the package's only vote count and majority rule.
 """
 
 from __future__ import annotations
@@ -137,40 +140,49 @@ class BinaryMask:
         return self.grid.shape
 
 
+def majority_level(num_raters: int) -> int:
+    """Smallest vote count that is a majority of K raters; even-K ties count."""
+    return (num_raters + 1) // 2
+
+
 @dataclass(frozen=True)
 class RaterStack:
-    """K binary masks for one image, all with identical dimensions."""
+    """K binary masks for one image: one read-only (K, H, W) uint8 array."""
 
-    raters: tuple[BinaryMask, ...]
+    masks: np.ndarray
 
     def __post_init__(self):
-        if len(self.raters) < 1:
-            raise ValueError("RaterStack requires at least one rater")
-        shape = self.raters[0].shape
-        for i, m in enumerate(self.raters):
-            if m.shape != shape:
-                raise DimensionMismatch(
-                    f"rater {i} has shape {m.shape}, expected {shape}"
-                )
-        object.__setattr__(self, "raters", tuple(self.raters))
+        arr = np.asarray(self.masks, dtype=np.uint8)
+        if arr.ndim != 3 or arr.size == 0:
+            raise ValueError(f"RaterStack requires a nonempty (K, H, W) array, got {arr.shape}")
+        if arr.max() > 1:
+            raise ValueError("RaterStack values must all be 0 or 1")
+        object.__setattr__(self, "masks", _freeze(arr))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "RaterStack":
         """Build from a (K, H, W) array of {0,1} values."""
-        arr = np.asarray(arr)
-        return cls(tuple(BinaryMask.from_array(arr[r]) for r in range(arr.shape[0])))
+        return cls(arr)
 
     @property
     def num_raters(self) -> int:
-        return len(self.raters)
+        return self.masks.shape[0]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.raters[0].shape
+        return self.masks.shape[1:]
 
     def as_array(self) -> np.ndarray:
-        """Stacked (K, H, W) uint8 view of all rater masks."""
-        return np.stack([m.data for m in self.raters])
+        """The stored (K, H, W) uint8 array (read-only, not a copy)."""
+        return self.masks
+
+    def votes(self) -> np.ndarray:
+        """Per-voxel count of foreground votes, int64 (H, W)."""
+        return self.masks.sum(axis=0, dtype=np.int64)
+
+    def majority(self) -> np.ndarray:
+        """Per-voxel majority vote, ties to foreground, bool (H, W)."""
+        return self.votes() >= majority_level(self.num_raters)
 
 
 def _finite_range(vals: np.ndarray) -> tuple[float, float]:
@@ -302,6 +314,8 @@ def read_mask(path) -> BinaryMask:
     dtype, dims, arr = read_container(path)
     if len(dims) != 2:
         raise ContainerError(f"{path}: mask must be 2D, got ndim={len(dims)}")
+    if not np.isin(arr, (0, 1)).all():
+        raise ContainerError(f"{path}: mask values must all be 0 or 1")
     return BinaryMask.from_array(arr)
 
 
@@ -383,8 +397,8 @@ def load_dataset(manifest_path) -> dict[str, list[Sample]]:
         if not image_file.exists():
             raise MissingFile(str(image_file))
         image = _read_dataset_file(read_image, image_file)
-        masks = []
-        for rp in entry.rater_paths:
+        masks = np.empty((manifest.num_raters, *image.shape), dtype=np.uint8)
+        for r, rp in enumerate(entry.rater_paths):
             rater_file = root / rp
             if not rater_file.exists():
                 raise MissingFile(str(rater_file))
@@ -394,7 +408,7 @@ def load_dataset(manifest_path) -> dict[str, list[Sample]]:
                     f"sample {entry.id!r}: image {image.shape} vs rater mask "
                     f"{mask.shape} ({rp})"
                 )
-            masks.append(mask)
-        stack = RaterStack(tuple(masks))
+            masks[r] = mask.data
+        stack = RaterStack(masks)
         out[entry.split].append(Sample(id=entry.id, image=image, annotations=stack))
     return out

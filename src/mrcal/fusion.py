@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryMask, ForegroundProbMap, Grid2D, RaterStack
+from .core import BinaryMask, Grid2D, RaterStack, majority_level
 
 METHODS = ("rs", "mc", "sc", "scg", "staple", "simple", "svls")
 
@@ -92,19 +92,17 @@ def _counter_draw(seed: int, step: int, k: int) -> int:
 def fuse_random_sampling(stack: RaterStack, seed: int, step: int) -> BinaryMask:
     """Return the mask of one rater picked uniformly from (seed, step)."""
     idx = _counter_draw(seed, step, stack.num_raters)
-    return stack.raters[idx]
+    return BinaryMask.from_array(stack.as_array()[idx])
 
 
 def fuse_median(stack: RaterStack) -> BinaryMask:
     """Per-voxel median vote; even-K ties resolve to foreground."""
-    votes = stack.as_array().sum(axis=0, dtype=np.int64)
-    return BinaryMask.from_array(2 * votes >= stack.num_raters)
+    return BinaryMask.from_array(stack.majority())
 
 
 def fuse_soft(stack: RaterStack) -> SoftLabelMap:
     """Per-voxel mean of the K binary votes."""
-    mean = stack.as_array().mean(axis=0, dtype=np.float64)
-    return SoftLabelMap.from_array(mean)
+    return SoftLabelMap.from_array(stack.votes() / stack.num_raters)
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -115,15 +113,25 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
+def gaussian_filter_valid(arr: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Separable 'valid' convolution with the 1D kernel g, rows then columns.
+
+    Each pass convolves the flattened array once and drops the outputs whose
+    window crosses a row end: the kept ones are the dot products a per-row
+    np.convolve computes, bit for bit (a tap loop or matmul rounds differently).
+    """
+    if min(arr.shape) < len(g):
+        raise ValueError(f"array {arr.shape} is shorter than the kernel ({len(g)})")
+    for _ in range(2):
+        flat = np.concatenate([np.convolve(arr.ravel(), g, mode="valid"), np.zeros(len(g) - 1)])
+        arr = flat.reshape(arr.shape)[:, : arr.shape[1] - len(g) + 1].T
+    return arr
+
+
 def gaussian_smooth(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing with reflect padding (edge included)."""
     g = gaussian_kernel_1d(sigma)
-    radius = (len(g) - 1) // 2
-    padded = np.pad(arr, radius, mode="symmetric")
-    # convolve rows then columns; 'valid' keeps the original extent
-    tmp = np.apply_along_axis(lambda row: np.convolve(row, g, mode="valid"), 1, padded)
-    out = np.apply_along_axis(lambda col: np.convolve(col, g, mode="valid"), 0, tmp)
-    return out
+    return gaussian_filter_valid(np.pad(arr, len(g) // 2, mode="symmetric"), g)
 
 
 def fuse_soft_gaussian(stack: RaterStack, sigma: float) -> SoftLabelMap:
@@ -218,8 +226,7 @@ def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
     included = list(range(stack.num_raters))
 
     for _ in range(cfg.simple_max_iters):
-        votes = arr[included].sum(axis=0)
-        fused = 2 * votes >= len(included)
+        fused = arr[included].sum(axis=0) >= majority_level(len(included))
         dice = np.array([_dice(arr[r], fused) for r in included])
         threshold = dice.mean() - dice.std()
         # drop worst-first, never going below the retained-rater floor
@@ -234,8 +241,7 @@ def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
         if not dropped:
             break
         included = [r for r in included if r not in dropped]
-    votes = arr[included].sum(axis=0)
-    fused = 2 * votes >= len(included)
+    fused = arr[included].sum(axis=0) >= majority_level(len(included))
     return BinaryMask.from_array(fused)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryMask, DimensionMismatch, ForegroundProbMap, RaterStack
+from .core import BinaryMask, DimensionMismatch, ForegroundProbMap
 
 
 class SingleClassReference(Exception):
@@ -138,8 +138,7 @@ def mr_ece(preds, stacks, cfg: EvalConfig):
             raise DimensionMismatch(
                 f"prediction {pred.shape} vs stack {stack.shape}"
             )
-        votes = stack.as_array().sum(axis=0, dtype=np.float64)
-        bins.add(pred.ravel(), votes.ravel(), weight=k)
+        bins.add(pred.ravel(), stack.votes().ravel(), weight=k)
     return bins.ece_value(), bins
 
 
@@ -173,40 +172,31 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return avg_rank[inverse]
 
 
-def auc(pred, reference: BinaryMask) -> float:
-    """Mann-Whitney AUC: P(score of random positive > random negative),
-    ties counted 0.5."""
-    scores = _as_pred_array(pred).ravel()
-    labels = reference.data.ravel().astype(bool)
+def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
+    """Mann-Whitney AUC of flat scores vs flat bool labels; None if one class."""
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassReference("reference must contain both classes")
+        return None
     ranks = _average_ranks(scores)
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def majority_mask(stack: RaterStack) -> BinaryMask:
-    """Per-voxel majority vote, ties to foreground."""
-    votes = stack.as_array().sum(axis=0, dtype=np.int64)
-    return BinaryMask.from_array(2 * votes >= stack.num_raters)
+def auc(pred, reference: BinaryMask) -> float:
+    """Mann-Whitney AUC: P(score of random positive > random negative),
+    ties counted 0.5."""
+    value = _rank_auc(_as_pred_array(pred).ravel(), reference.data.ravel().astype(bool))
+    if value is None:
+        raise SingleClassReference("reference must contain both classes")
+    return value
 
 
 def _pooled_metrics(preds, stacks, cfg: EvalConfig):
     value, _ = mr_ece(preds, stacks, cfg)
     scores = np.concatenate([_as_pred_array(p).ravel() for p in preds])
-    labels = np.concatenate(
-        [majority_mask(s).data.ravel() for s in stacks]
-    ).astype(bool)
-    n_pos = int(labels.sum())
-    if n_pos == 0 or n_pos == labels.size:
-        auc_value = None
-    else:
-        ranks = _average_ranks(scores)
-        u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-        auc_value = float(u / (n_pos * (labels.size - n_pos)))
-    return value, auc_value
+    labels = np.concatenate([s.majority().ravel() for s in stacks])
+    return value, _rank_auc(scores, labels)
 
 
 @dataclass

@@ -36,7 +36,6 @@ from .core import (
     DTYPE_F32,
     ForegroundProbMap,
     Grid2D,
-    RaterStack,
     read_container,
     write_container,
 )
@@ -271,23 +270,28 @@ class Checkpoint:
     def load(cls, path) -> "Checkpoint":
         path = Path(path)
         _, dims, flat = read_container(path)
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        arch = sidecar["architecture"]
-        if int(np.prod(dims)) != arch["num_params"]:
-            raise ArchitectureMismatch(
-                f"{path}: {int(np.prod(dims))} params on disk, descriptor says "
-                f"{arch['num_params']}"
+        sidecar_path = path.with_suffix(path.suffix + ".json")
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+            arch = sidecar["architecture"]
+            num_params = int(arch["num_params"])
+            checkpoint = cls(
+                hidden_channels=int(arch["hidden_channels"]),
+                out_channels=int(arch["out_channels"]),
+                num_raters=int(arch["num_raters"]),
+                flat_params=np.asarray(flat, dtype=np.float32),
+                config=sidecar["config"],
+                loss_trace=sidecar["loss_trace"],
+                seed=sidecar["seed"],
+                extra=sidecar.get("extra", {}),
             )
-        return cls(
-            hidden_channels=arch["hidden_channels"],
-            out_channels=arch["out_channels"],
-            num_raters=arch["num_raters"],
-            flat_params=np.asarray(flat, dtype=np.float32),
-            config=sidecar["config"],
-            loss_trace=sidecar["loss_trace"],
-            seed=sidecar["seed"],
-            extra=sidecar.get("extra", {}),
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchitectureMismatch(f"{sidecar_path}: malformed sidecar: {exc!r}") from exc
+        if int(np.prod(dims)) != num_params:
+            raise ArchitectureMismatch(
+                f"{path}: {int(np.prod(dims))} params on disk, descriptor says {num_params}"
+            )
+        return checkpoint
 
 
 def _fused_target(sample, cfg: TrainConfig, step: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ForegroundProbMap, Grid2D, RaterStack
+from .core import ForegroundProbMap, Grid2D, RaterStack, majority_level
 
 PROB_CLAMP = 1e-7
 
@@ -83,19 +83,9 @@ class LossConfig:
             raise ValueError(f"unknown reduction {self.reduction!r}")
 
 
-def majority_level(num_raters: int) -> int:
-    """Smallest consensus level counting as majority foreground.
-
-    Reads the >= K/2 boundary inclusively at K/2 for even K, matching the
-    median tie-to-foreground rule used everywhere else.
-    """
-    return (num_raters + 1) // 2
-
-
 def orc_encode(stack: RaterStack) -> OrcMap:
     """Sum the K binary votes per voxel into a consensus level."""
-    counts = stack.as_array().sum(axis=0, dtype=np.int64)
-    return OrcMap(Grid2D(counts), num_raters=stack.num_raters)
+    return OrcMap(Grid2D(stack.votes()), num_raters=stack.num_raters)
 
 
 def aggregate_foreground(probs: OrdinalProbMap) -> ForegroundProbMap:

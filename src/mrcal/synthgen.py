@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DTYPE_F32, DTYPE_U8, Grid2D, write_container
-from .fusion import gaussian_kernel_1d
+from .fusion import gaussian_filter_valid, gaussian_kernel_1d
 
 NOISE_SMOOTH_SIGMA = 1.0
 IMAGE_NOISE_STD = 0.05
@@ -90,10 +90,9 @@ def _soft_ellipses(rng: np.random.Generator, size: int, ambiguity: float) -> np.
 def _smoothed_noise(rng: np.random.Generator, size: int, std: float) -> np.ndarray:
     """Gaussian noise of the given std, smoothed at sigma=1 with full windows."""
     g = gaussian_kernel_1d(NOISE_SMOOTH_SIGMA)
-    radius = (len(g) - 1) // 2
-    raw = rng.normal(0.0, std, size=(size + 2 * radius, size + 2 * radius))
-    tmp = np.apply_along_axis(lambda row: np.convolve(row, g, mode="valid"), 1, raw)
-    return np.apply_along_axis(lambda col: np.convolve(col, g, mode="valid"), 0, tmp)
+    padded = size + len(g) - 1
+    raw = rng.normal(0.0, std, size=(padded, padded))
+    return gaussian_filter_valid(raw, g)
 
 
 def generate_sample(cfg: SynthConfig, index: int):

@@ -227,6 +227,65 @@ class TestTrainEval:
         assert "2 trailing" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "fuse"])
+    def test_mask_value_two_is_io_error(self, capsys, dataset, tmp_path, command):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        mask_path = data / manifest["samples"][0]["rater_paths"][1]
+        dtype, dims, mask = read_container(mask_path)
+        mask = np.array(mask)
+        mask[0, 0] = 2
+        write_container(dtype, dims, mask, mask_path)
+        if command == "eval":
+            argv = ["eval", "--model", "oracle", "--data", str(data)]
+        else:
+            argv = ["fuse", "--data", str(data), "--method", "mc", "--out", str(tmp_path / "f")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load dataset:")
+        assert str(mask_path) in err and "0 or 1" in err
+        assert err.count("\n") == 1
+
+    def test_wrong_shape_sidecar_is_io_error(self, capsys, dataset, tmp_path):
+        ckpt = tmp_path / "model.mrc"
+        run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps",
+            "--epochs", "1", "--out", str(ckpt),
+        )
+        ckpt.with_suffix(".mrc.json").write_text("[]\n")
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--model", str(ckpt), "--data", str(dataset), "--split", "test",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load model/predictions:")
+        assert "malformed sidecar" in err
+        assert err.count("\n") == 1
+
+    def test_checkpoint_rater_count_mismatch_is_io_error(self, capsys, dataset, tmp_path):
+        ckpt = tmp_path / "model.mrc"
+        run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps",
+            "--epochs", "1", "--out", str(ckpt),
+        )
+        data5 = tmp_path / "ds5"
+        main(["synth", "--out", str(data5), "--n", "8", "--size", "16", "--raters", "5"])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--model", str(ckpt), "--data", str(data5), "--split", "test",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load model/predictions:")
+        assert "K=3" in err and "K=5" in err
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def test_grid_parse(self):

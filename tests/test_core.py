@@ -204,8 +204,24 @@ def test_load_dataset_bad_json(tmp_path):
         load_dataset(path)
 
 
-def test_rater_stack_requires_matching_shapes():
-    a = BinaryMask.from_array(np.zeros((2, 2), dtype=np.uint8))
-    b = BinaryMask.from_array(np.zeros((3, 3), dtype=np.uint8))
-    with pytest.raises(DimensionMismatch):
-        RaterStack((a, b))
+def test_rater_stack_rejects_malformed_arrays():
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        RaterStack.from_array(np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"\(0, 2, 2\)"):
+        RaterStack.from_array(np.zeros((0, 2, 2), dtype=np.uint8))
+    arr = np.zeros((3, 2, 2), dtype=np.uint8)
+    arr[1, 0, 1] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        RaterStack.from_array(arr)
+
+
+def test_rater_stack_is_one_read_only_array():
+    arr = np.array([[[1, 0, 0]], [[1, 1, 0]], [[0, 0, 0]], [[0, 1, 1]]], dtype=np.uint8)
+    stack = RaterStack.from_array(arr)
+    arr[0, 0, 0] = 0  # the stack keeps its own copy
+    assert stack.num_raters == 4 and stack.shape == (1, 3)
+    assert stack.as_array() is stack.as_array()
+    assert not stack.as_array().flags.writeable
+    np.testing.assert_array_equal(stack.votes(), [[2, 2, 1]])
+    assert stack.votes().dtype == np.int64
+    np.testing.assert_array_equal(stack.majority(), [[True, True, False]])

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mrcal.core import RaterStack
 from mrcal.fusion import (
@@ -15,6 +18,7 @@ from mrcal.fusion import (
     fuse_soft_gaussian,
     fuse_staple,
     fuse_svls,
+    gaussian_filter_valid,
     gaussian_kernel_1d,
 )
 from mrcal.ordinal import orc_encode
@@ -90,8 +94,37 @@ class TestSoft:
             fuse_soft(stack).data, orc_encode(stack).data / 5.0
         )
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        arrays(
+            np.uint8,
+            array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9),
+            elements=st.integers(0, 1),
+        )
+    )
+    def test_equals_votes_over_k_exactly(self, arr):
+        stack = RaterStack.from_array(arr)
+        soft = fuse_soft(stack).data
+        assert np.array_equal(soft, stack.votes() / stack.num_raters)
+        assert np.array_equal(soft, arr.mean(axis=0, dtype=np.float64))
+
 
 class TestSoftGaussian:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.2, 4.2])
+    def test_filter_valid_matches_per_row_convolve(self, sigma):
+        g = gaussian_kernel_1d(sigma)
+        rng = np.random.default_rng(round(sigma * 10))
+        n = len(g)
+        for shape in [(n, n), (n + 3, n + 40), (n + 16, n + 10), (n + 64, n + 51)]:
+            arr = rng.normal(size=shape)
+            rows = np.array([np.convolve(row, g, mode="valid") for row in arr])
+            cols = np.array([np.convolve(col, g, mode="valid") for col in rows.T]).T
+            out = gaussian_filter_valid(arr, g)
+            assert out.shape == (shape[0] - n + 1, shape[1] - n + 1)
+            assert np.array_equal(out, cols)
+        with pytest.raises(ValueError, match="shorter than the kernel"):
+            gaussian_filter_valid(np.zeros((n - 1, n + 5)), g)
+
     def test_constant_invariance(self):
         stack = stack_from([np.ones((6, 6), dtype=np.uint8), np.zeros((6, 6), dtype=np.uint8)])
         out = fuse_soft_gaussian(stack, sigma=1.0)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrcal.core import BinaryMask, RaterStack
 from mrcal.metrics import (
@@ -9,7 +12,6 @@ from mrcal.metrics import (
     auc,
     bootstrap_eval,
     ece_single,
-    majority_mask,
     mr_ece,
     reliability_csv,
 )
@@ -66,6 +68,25 @@ class TestMrEce:
         v_sample, _ = mr_ece(preds[::-1], stacks[::-1], EvalConfig())
         assert abs(v - v_rater) < 1e-12
         assert abs(v - v_sample) < 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_permutation_invariance_property(self, data):
+        n, k, h, w = (data.draw(st.integers(1, hi)) for hi in (4, 7, 6, 6))
+        masks = data.draw(arrays(np.uint8, (n, k, h, w), elements=st.integers(0, 1)))
+        preds = list(data.draw(arrays(np.float64, (n, h, w), elements=st.floats(0.0, 1.0))))
+        rater_perm = data.draw(st.permutations(range(k)))
+        sample_perm = data.draw(st.permutations(range(n)))
+        cfg = EvalConfig()
+        v, bins = mr_ece(preds, [stack_from(m) for m in masks], cfg)
+        v_rater, _ = mr_ece(preds, [stack_from(m[rater_perm]) for m in masks], cfg)
+        v_sample, bins_sample = mr_ece(
+            [preds[i] for i in sample_perm], [stack_from(masks[i]) for i in sample_perm], cfg
+        )
+        # permuting raters leaves every vote count, hence every sum, unchanged
+        assert v_rater == v
+        np.testing.assert_array_equal(bins_sample.counts, bins.counts)
+        assert abs(v_sample - v) < 1e-12
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -185,7 +206,7 @@ class TestAuc:
 class TestMajorityMask:
     def test_tie_to_foreground(self):
         stack = stack_from([[[1, 0]], [[0, 0]]])
-        np.testing.assert_array_equal(majority_mask(stack).data, [[1, 0]])
+        np.testing.assert_array_equal(stack.majority(), [[1, 0]])
 
 
 class TestBootstrap:
