@@ -216,8 +216,7 @@ def cmd_eval(args) -> int:
     stacks = [s.annotations for s in samples]
     report = bootstrap_eval(preds, stacks, cfg)
     if args.reliability:
-        _, bins = mr_ece(preds, stacks, cfg)
-        reliability_csv(bins, args.reliability)
+        reliability_csv(report.bins, args.reliability)
         report.bins_csv_path = str(args.reliability)
     report.notes = {
         "auc_reference": "majority_vote_ties_foreground",

@@ -20,6 +20,7 @@ its `votes` and `majority` are the package's only vote count and majority rule.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,6 +117,13 @@ class Grid2D:
         return self.data.shape
 
 
+def _all_binary(vals: np.ndarray) -> bool:
+    """Whether every value is 0 or 1: one max() pass for uint8."""
+    if vals.dtype == np.uint8:
+        return bool(vals.max() <= 1)
+    return bool(np.isin(vals, (0, 1)).all())
+
+
 @dataclass(frozen=True)
 class BinaryMask:
     """A {0,1}-valued Grid2D."""
@@ -123,8 +131,7 @@ class BinaryMask:
     grid: Grid2D
 
     def __post_init__(self):
-        vals = self.grid.data
-        if not np.isin(vals, (0, 1)).all():
+        if not _all_binary(self.grid.data):
             raise ValueError("BinaryMask values must all be 0 or 1")
 
     @classmethod
@@ -269,7 +276,7 @@ def write_container(dtype: int, dims, payload, path) -> None:
         raise ContainerError(f"ndim must be 1-3, got {len(dims)}")
     if any(d < 1 for d in dims):
         raise ContainerError(f"all dims must be >= 1, got {dims}")
-    n = int(np.prod(dims, dtype=np.int64))
+    n = math.prod(dims)
     if n > _MAX_ELEMENTS:
         raise DimOverflow(f"{n} elements exceeds 2^32")
     arr = np.ascontiguousarray(np.asarray(payload), dtype=_NUMPY_DTYPES[dtype]).reshape(dims)
@@ -292,7 +299,7 @@ def read_container(path):
     if len(raw) < dim_end:
         raise TruncatedPayload(f"{path}: header cut short")
     dims = struct.unpack(f"<{ndim}I", raw[8:dim_end])
-    n = int(np.prod(dims, dtype=np.int64))
+    n = math.prod(dims)  # Python ints: three u32 dims can overflow int64
     if n > _MAX_ELEMENTS:
         raise DimOverflow(f"{path}: {n} elements exceeds 2^32")
     np_dtype = _NUMPY_DTYPES[dtype]
@@ -314,9 +321,13 @@ def read_mask(path) -> BinaryMask:
     dtype, dims, arr = read_container(path)
     if len(dims) != 2:
         raise ContainerError(f"{path}: mask must be 2D, got ndim={len(dims)}")
-    if not np.isin(arr, (0, 1)).all():
+    # a float payload is checked before the uint8 cast could hide e.g. 0.5
+    if dtype != DTYPE_U8 and not _all_binary(arr):
         raise ContainerError(f"{path}: mask values must all be 0 or 1")
-    return BinaryMask.from_array(arr)
+    try:
+        return BinaryMask.from_array(arr)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
 
 
 def read_image(path) -> Grid2D:
@@ -363,6 +374,10 @@ def parse_manifest(manifest_path) -> DatasetManifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestParseError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    if manifest.num_raters < 1:
+        raise ManifestParseError(
+            f"{manifest_path}: num_raters must be >= 1, got {manifest.num_raters}"
+        )
     for entry in manifest.samples:
         if entry.split not in SPLITS:
             raise ManifestParseError(

@@ -8,7 +8,8 @@ frequency. With K=1 this reduces exactly to frequency-mode ECE.
 
 AUC is the Mann-Whitney rank statistic against the majority vote of the
 rater stack (ties to foreground). The bootstrap protocol resamples test
-images with replacement.
+images with replacement; it sorts the pooled scores once and ranks and bins
+every replicate from that one pass.
 """
 
 from __future__ import annotations
@@ -117,19 +118,16 @@ def _as_pred_array(pred) -> np.ndarray:
     return np.asarray(pred, dtype=np.float64)
 
 
-def mr_ece(preds, stacks, cfg: EvalConfig):
-    """Multi-rater ECE over a list of (prediction, rater stack) samples.
-
-    Returns (value, populated CalibrationBins).
-    """
-    preds = [_as_pred_array(p) for p in preds]
+def _image_bins(preds, stacks, cfg: EvalConfig) -> list[CalibrationBins]:
+    """One CalibrationBins per (prediction, rater stack) sample, in order."""
     if len(preds) != len(stacks):
         raise ValueError("preds and stacks must have equal length")
     if not stacks:
         raise EmptyTestSet("no samples")
     k = stacks[0].num_raters
-    bins = CalibrationBins(cfg.num_bins)
+    out = []
     for pred, stack in zip(preds, stacks):
+        pred = _as_pred_array(pred)
         if stack.num_raters != k:
             raise InconsistentRaterCount(
                 f"expected K={k}, got K={stack.num_raters}"
@@ -138,7 +136,27 @@ def mr_ece(preds, stacks, cfg: EvalConfig):
             raise DimensionMismatch(
                 f"prediction {pred.shape} vs stack {stack.shape}"
             )
+        bins = CalibrationBins(cfg.num_bins)
         bins.add(pred.ravel(), stack.votes().ravel(), weight=k)
+        out.append(bins)
+    return out
+
+
+def _merged(image_bins: list[CalibrationBins], idx, num_bins: int) -> CalibrationBins:
+    """The bins of the images `idx` (repeats allowed), merged in that order."""
+    bins = CalibrationBins(num_bins)
+    for i in idx:
+        bins.merge(image_bins[i])
+    return bins
+
+
+def mr_ece(preds, stacks, cfg: EvalConfig):
+    """Multi-rater ECE over a list of (prediction, rater stack) samples.
+
+    Returns (value, populated CalibrationBins).
+    """
+    image_bins = _image_bins(preds, stacks, cfg)
+    bins = _merged(image_bins, range(len(image_bins)), cfg.num_bins)
     return bins.ece_value(), bins
 
 
@@ -164,39 +182,32 @@ def ece_single(pred, mask: BinaryMask, cfg: EvalConfig) -> float:
     return bins.ece_value()
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged (midrank convention)."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    cum = np.cumsum(counts)
-    avg_rank = cum - (counts - 1) / 2.0
-    return avg_rank[inverse]
+def _rank_auc(counts: np.ndarray, positives: np.ndarray) -> float | None:
+    """Mann-Whitney AUC with ties counted 0.5; None if one class.
 
-
-def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
-    """Mann-Whitney AUC of flat scores vs flat bool labels; None if one class."""
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
+    `counts[j]` is how many scores equal the j-th smallest distinct value and
+    `positives` holds that index j for every positive, so each value's
+    1-based midrank is cumsum(counts) - (counts - 1) / 2.
+    """
+    n_pos = positives.size
+    n_neg = int(counts.sum()) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = _average_ranks(scores)
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    avg_rank = np.cumsum(counts) - (counts - 1) / 2.0
+    u = avg_rank[positives].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
 def auc(pred, reference: BinaryMask) -> float:
     """Mann-Whitney AUC: P(score of random positive > random negative),
     ties counted 0.5."""
-    value = _rank_auc(_as_pred_array(pred).ravel(), reference.data.ravel().astype(bool))
+    _, inverse, counts = np.unique(
+        _as_pred_array(pred).ravel(), return_inverse=True, return_counts=True
+    )
+    value = _rank_auc(counts, inverse[reference.data.ravel().astype(bool)])
     if value is None:
         raise SingleClassReference("reference must contain both classes")
     return value
-
-
-def _pooled_metrics(preds, stacks, cfg: EvalConfig):
-    value, _ = mr_ece(preds, stacks, cfg)
-    scores = np.concatenate([_as_pred_array(p).ravel() for p in preds])
-    labels = np.concatenate([s.majority().ravel() for s in stacks])
-    return value, _rank_auc(scores, labels)
 
 
 @dataclass
@@ -214,6 +225,7 @@ class MetricReport:
     seed: int
     bins_csv_path: str = ""
     notes: dict = field(default_factory=dict)
+    bins: CalibrationBins | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -246,32 +258,46 @@ def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
     """Point estimates plus image-level bootstrap mean/std of MR-ECE and AUC.
 
     Each replicate draws ceil(frac * n) images with replacement; stddev is
-    the population form (divide by N).
+    the population form (divide by N). The pooled scores are sorted once:
+    a replicate's AUC counts its images' distinct-value indices, and its
+    MR-ECE merges their per-image bins in draw order, so every replicate
+    equals a fresh evaluation of its images, bit for bit. The point
+    estimate's bins are returned in `MetricReport.bins`.
     """
     if not stacks:
         raise EmptyTestSet("test set is empty")
     if cfg.bootstrap_n < 1:
         raise ValueError("bootstrap_n must be >= 1")
     preds = [_as_pred_array(p) for p in preds]
-    point_ece, point_auc = _pooled_metrics(preds, stacks, cfg)
+    image_bins = _image_bins(preds, stacks, cfg)
+    distinct, inverse = np.unique(
+        np.concatenate([p.ravel() for p in preds]), return_inverse=True
+    )
+    inverses = np.split(inverse, np.cumsum([p.size for p in preds])[:-1])
+    positives = [inv[s.majority().ravel()] for inv, s in zip(inverses, stacks)]
+
+    def evaluate(idx):
+        counts = np.bincount(
+            np.concatenate([inverses[i] for i in idx]), minlength=distinct.size
+        )
+        value = _rank_auc(counts, np.concatenate([positives[i] for i in idx]))
+        return _merged(image_bins, idx, cfg.num_bins), value
 
     n = len(stacks)
+    point_bins, point_auc = evaluate(range(n))
     draw = int(np.ceil(cfg.bootstrap_frac * n))
     rng = np.random.default_rng(cfg.seed)
     eces, aucs = [], []
     for _ in range(cfg.bootstrap_n):
-        idx = rng.integers(0, n, size=draw)
-        rep_preds = [preds[i] for i in idx]
-        rep_stacks = [stacks[i] for i in idx]
-        e, a = _pooled_metrics(rep_preds, rep_stacks, cfg)
-        eces.append(e)
+        bins, a = evaluate(rng.integers(0, n, size=draw))
+        eces.append(bins.ece_value())
         aucs.append(a)
 
     eces = np.array(eces)
     have_auc = point_auc is not None and all(a is not None for a in aucs)
     aucs_arr = np.array(aucs, dtype=np.float64) if have_auc else None
     return MetricReport(
-        mr_ece=point_ece,
+        mr_ece=point_bins.ece_value(),
         auc=point_auc,
         mr_ece_boot_mean=float(eces.mean()),
         mr_ece_boot_std=float(eces.std()),
@@ -282,6 +308,7 @@ def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
         num_bins=cfg.num_bins,
         ece_mode=cfg.ece_mode,
         seed=cfg.seed,
+        bins=point_bins,
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import child_env
 from mrcal.cli import _parse_grid, main
+from mrcal.model import Checkpoint
 from mrcal.core import read_container, write_container
 
 
@@ -247,6 +248,46 @@ class TestTrainEval:
         assert err.startswith("cannot load dataset:")
         assert str(mask_path) in err and "0 or 1" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "fuse"])
+    def test_manifest_without_raters_is_io_error(self, capsys, dataset, tmp_path, command):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest_path = data / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["num_raters"] = 0
+        for entry in manifest["samples"]:
+            entry["rater_paths"] = []
+        manifest_path.write_text(json.dumps(manifest))
+        if command == "eval":
+            argv = ["eval", "--model", "oracle", "--data", str(data)]
+        else:
+            argv = ["fuse", "--data", str(data), "--method", "mc", "--out", str(tmp_path / "f")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load dataset:")
+        assert str(manifest_path) in err and "num_raters" in err
+        assert err.count("\n") == 1
+
+    def test_eval_builds_net_once(self, capsys, dataset, tmp_path, monkeypatch):
+        ckpt = tmp_path / "model.mrc"
+        run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps",
+            "--epochs", "1", "--out", str(ckpt),
+        )
+        calls = []
+        build_net = Checkpoint.build_net
+        monkeypatch.setattr(
+            Checkpoint, "build_net", lambda self: calls.append(1) or build_net(self)
+        )
+        code, _, _ = run_cli(
+            capsys,
+            "eval", "--model", str(ckpt), "--data", str(dataset), "--split", "train",
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_wrong_shape_sidecar_is_io_error(self, capsys, dataset, tmp_path):
         ckpt = tmp_path / "model.mrc"

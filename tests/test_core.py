@@ -1,7 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrcal.core import (
     DTYPE_F32,
@@ -20,7 +23,9 @@ from mrcal.core import (
     TruncatedPayload,
     UnsupportedDtype,
     load_dataset,
+    parse_manifest,
     read_container,
+    read_mask,
     read_prob_map,
     write_container,
 )
@@ -225,3 +230,75 @@ def test_rater_stack_is_one_read_only_array():
     np.testing.assert_array_equal(stack.votes(), [[2, 2, 1]])
     assert stack.votes().dtype == np.int64
     np.testing.assert_array_equal(stack.majority(), [[True, True, False]])
+
+
+@pytest.mark.parametrize(
+    "dtype, values, accepted",
+    [
+        (DTYPE_U8, [[0, 1], [1, 0]], True),
+        (DTYPE_U8, [[0, 1], [2, 0]], False),
+        (DTYPE_F32, [[0.0, 1.0], [1.0, 0.0]], True),
+        (DTYPE_F32, [[0.0, 1.0], [0.5, 0.0]], False),
+        (DTYPE_F32, [[0.0, 1.0], [2.0, 0.0]], False),
+    ],
+)
+def test_read_mask_value_check(tmp_path, dtype, values, accepted):
+    path = tmp_path / "m.mrc"
+    write_container(dtype, (2, 2), np.array(values), path)
+    if accepted:
+        mask = read_mask(path)
+        assert mask.data.dtype == np.uint8
+        np.testing.assert_array_equal(mask.data, values)
+    else:
+        with pytest.raises(ContainerError, match="0 or 1") as exc:
+            read_mask(path)
+        assert str(path) in str(exc.value)
+
+
+def test_manifest_without_raters_rejected(tmp_path):
+    path = _write_dataset(tmp_path, num_raters=0)
+    with pytest.raises(ManifestParseError, match="num_raters") as exc:
+        parse_manifest(path)
+    assert str(path) in str(exc.value)
+    with pytest.raises(ManifestParseError):
+        load_dataset(path)
+
+
+def test_dims_whose_product_overflows_int64_rejected(tmp_path):
+    # 2^31 * 2^31 * 4 wraps to 0 in int64 arithmetic
+    path = tmp_path / "big.mrc"
+    path.write_bytes(b"MRC1" + struct.pack("<BBH3I", DTYPE_U8, 3, 0, 2**31, 2**31, 4))
+    with pytest.raises(ContainerError, match="exceeds"):
+        read_container(path)
+
+
+def _valid_container_bytes(tmp_path, dtype, dims):
+    path = tmp_path / "valid.mrc"
+    write_container(dtype, dims, np.arange(int(np.prod(dims))) % 2, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_container_raises_only_container_error(tmp_path_factory, data):
+    dtype = data.draw(st.sampled_from((DTYPE_U8, DTYPE_F32)))
+    dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    root = tmp_path_factory.mktemp("fuzz")
+    raw = bytearray(_valid_container_bytes(root, dtype, dims))
+    edit = data.draw(st.sampled_from(("flip", "header", "truncate", "append")))
+    if edit == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    elif edit == "header":
+        at = data.draw(st.integers(4, 8 + 4 * len(dims) - 1))
+        raw[at : at + 4] = data.draw(st.binary(min_size=4, max_size=4))
+    elif edit == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=8))
+    path = root / "fuzzed.mrc"
+    path.write_bytes(bytes(raw))
+    try:
+        read_container(path)
+    except ContainerError:
+        pass

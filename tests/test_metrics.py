@@ -8,6 +8,7 @@ from mrcal.core import BinaryMask, RaterStack
 from mrcal.metrics import (
     CalibrationBins,
     EvalConfig,
+    MetricReport,
     SingleClassReference,
     auc,
     bootstrap_eval,
@@ -240,6 +241,99 @@ class TestBootstrap:
         rep = bootstrap_eval(preds, stacks, cfg)
         assert abs(rep.mr_ece_boot_mean - rep.mr_ece) < 0.01
         assert abs(rep.auc_boot_mean - rep.auc) < 0.01
+
+
+def _reference_bootstrap(preds, stacks, cfg) -> MetricReport:
+    """bootstrap_eval as a fresh evaluation of every replicate: per-image bin
+    accumulation, and midranks from one np.unique sort of the replicate's
+    concatenated scores."""
+
+    def ece(idx):
+        bins = CalibrationBins(cfg.num_bins)
+        for i in idx:
+            bins.add(preds[i].ravel(), stacks[i].votes().ravel(), weight=stacks[i].num_raters)
+        return bins.ece_value()
+
+    def rank_auc(idx):
+        scores = np.concatenate([preds[i].ravel() for i in idx])
+        labels = np.concatenate([stacks[i].majority().ravel() for i in idx])
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        if n_pos == 0 or n_neg == 0:
+            return None
+        _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+        ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+        u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+        return float(u / (n_pos * n_neg))
+
+    n = len(stacks)
+    rng = np.random.default_rng(cfg.seed)
+    draws = [
+        rng.integers(0, n, size=int(np.ceil(cfg.bootstrap_frac * n)))
+        for _ in range(cfg.bootstrap_n)
+    ]
+    eces = np.array([ece(idx) for idx in draws])
+    aucs = [rank_auc(idx) for idx in draws]
+    point_auc = rank_auc(range(n))
+    have_auc = point_auc is not None and None not in aucs
+    return MetricReport(
+        mr_ece=ece(range(n)),
+        auc=point_auc,
+        mr_ece_boot_mean=float(eces.mean()),
+        mr_ece_boot_std=float(eces.std()),
+        auc_boot_mean=float(np.mean(aucs)) if have_auc else None,
+        auc_boot_std=float(np.std(aucs)) if have_auc else None,
+        num_bootstrap=cfg.bootstrap_n,
+        resample_fraction=cfg.bootstrap_frac,
+        num_bins=cfg.num_bins,
+        ece_mode=cfg.ece_mode,
+        seed=cfg.seed,
+    )
+
+
+class TestBootstrapOneSort:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_fresh_sort_per_replicate(self, data):
+        n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        h, w = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        levels = data.draw(st.sampled_from((2, 5, 16, 1000)))  # few levels: many ties
+        preds = [
+            data.draw(arrays(np.int64, (h, w), elements=st.integers(0, levels))) / levels
+            for _ in range(n)
+        ]
+        if data.draw(st.booleans()):
+            # one class per image, so small draws give single-class replicates
+            masks = [np.full((k, h, w), data.draw(st.integers(0, 1))) for _ in range(n)]
+        else:
+            masks = [
+                data.draw(arrays(np.uint8, (k, h, w), elements=st.integers(0, 1)))
+                for _ in range(n)
+            ]
+        stacks = [stack_from(m) for m in masks]
+        cfg = EvalConfig(
+            num_bins=data.draw(st.integers(1, 20)),
+            bootstrap_n=data.draw(st.integers(1, 12)),
+            bootstrap_frac=data.draw(st.sampled_from((0.1, 0.35, 0.6, 1.0))),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        got = bootstrap_eval(preds, stacks, cfg)
+        assert got.to_json() == _reference_bootstrap(preds, stacks, cfg).to_json()
+        v, bins = mr_ece(preds, stacks, cfg)
+        assert got.mr_ece == v
+        np.testing.assert_array_equal(got.bins.counts, bins.counts)
+        np.testing.assert_array_equal(got.bins.conf_sums, bins.conf_sums)
+        np.testing.assert_array_equal(got.bins.acc_sums, bins.acc_sums)
+
+    def test_single_class_replicate_has_no_auc(self):
+        preds = [np.array([[0.2, 0.9]]), np.array([[0.4, 0.1]])]
+        stacks = [stack_from(np.ones((3, 1, 2))), stack_from(np.zeros((3, 1, 2)))]
+        # each replicate draws one image, so each holds one class only
+        cfg = EvalConfig(bootstrap_n=4, bootstrap_frac=0.5)
+        rep = bootstrap_eval(preds, stacks, cfg)
+        assert rep.auc == 0.75
+        assert rep.auc_boot_mean is None and rep.auc_boot_std is None
+        assert rep.to_json() == _reference_bootstrap(preds, stacks, cfg).to_json()
 
 
 class TestReliabilityCsv:

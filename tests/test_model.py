@@ -3,7 +3,9 @@ import pytest
 
 from mrcal.core import Grid2D, RaterStack, Sample
 from mrcal.fusion import FusionConfig
+from mrcal import model
 from mrcal.model import (
+    BAND_PIXELS,
     ArchitectureMismatch,
     Checkpoint,
     EmptyTrainSplit,
@@ -11,6 +13,7 @@ from mrcal.model import (
     TinyNet,
     TrainConfig,
     _forward_logits,
+    _im2col,
     backward,
     forward,
     predict,
@@ -57,14 +60,12 @@ class TestArchitecture:
     def test_flat_round_trip(self):
         net = TinyNet.init(4, seed=1)
         flat = net.flatten()
-        other = TinyNet.init(4, seed=2)
-        other.load_flat(flat)
+        other = TinyNet.from_flat(flat, 4, 16)
         np.testing.assert_array_equal(other.flatten(), flat)
 
     def test_load_flat_wrong_size(self):
-        net = TinyNet.init(1)
         with pytest.raises(ArchitectureMismatch):
-            net.load_flat(np.zeros(10, dtype=np.float32))
+            TinyNet.from_flat(np.zeros(10, dtype=np.float32), 1, 16)
 
 
 class TestForward:
@@ -249,6 +250,53 @@ class TestConvOracle:
             np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
 
 
+def one_band_logits(params, image):
+    """Head logits from whole-image conv columns, conv2's ReLU output
+    pixel-major, as the training forward computes them."""
+
+    def conv(x, w, b):
+        c_out = w.shape[0]
+        return (w.reshape(c_out, -1) @ _im2col(x) + b[:, None]).reshape(c_out, *x.shape[1:])
+
+    a1 = np.maximum(conv(image[None], params["w1"], params["b1"]), 0.0)
+    z2 = conv(a1, params["w2"], params["b2"])
+    a2 = np.empty(z2.shape[1:] + z2.shape[:1]).transpose(2, 0, 1)
+    np.maximum(z2, 0.0, out=a2)
+    return np.einsum("oc,chw->ohw", params["w3"][:, :, 0, 0], a2) + params["b3"][:, None, None]
+
+
+class TestBandedInference:
+    """Inference runs conv2, its ReLU and the head over row bands of at most
+    BAND_PIXELS pixels; the training forward keeps one whole-image band."""
+
+    @pytest.mark.parametrize(
+        "h, w, atol",
+        [(64, 64, 0.0), (256, 256, 0.0), (3, 4100, 1e-12), (70, 70, 1e-12), (130, 257, 1e-12)],
+    )
+    def test_matches_one_band(self, monkeypatch, h, w, atol):
+        rng = np.random.default_rng(h * w)
+        net = TinyNet.init(4, seed=h)
+        for name in ("b1", "b2", "b3"):
+            net.params[name] = rng.normal(scale=0.5, size=net.params[name].shape)
+        image = rng.random((h, w))
+        bands = []
+        real = model._pixel_major_like
+        monkeypatch.setattr(
+            model, "_pixel_major_like", lambda x: bands.append(x.shape) or real(x)
+        )
+        logits, cache = _forward_logits(net, image, keep_cache=False)
+        assert cache is None
+        assert max(c_h * c_w for _, c_h, c_w in bands) <= max(BAND_PIXELS, w)
+        assert sum(c_h for _, c_h, _ in bands) == h
+        ref = one_band_logits(net.params, image)
+        if atol == 0.0:
+            np.testing.assert_array_equal(logits, ref)
+        else:
+            np.testing.assert_allclose(logits, ref, rtol=0, atol=atol)
+        # the training forward is the one-band computation, bit for bit
+        np.testing.assert_array_equal(_forward_logits(net, image)[0], ref)
+
+
 class TestTraining:
     def test_empty_split(self):
         with pytest.raises(EmptyTrainSplit):
@@ -349,6 +397,39 @@ class TestCheckpoint:
         sidecar.write_text(text)
         with pytest.raises(ArchitectureMismatch):
             Checkpoint.load(path)
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(16)
+        samples = make_samples(2, rng)
+        first = train(samples, TrainConfig(loss="hybrid_rps", epochs=1))
+        second = train(samples, TrainConfig(loss="hybrid_rps", epochs=1, seed=1))
+        path = tmp_path / "model.mrc"
+        first.save(path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(path), "write_text", fail)
+        with pytest.raises(OSError, match="disk full"):
+            second.save(path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        np.testing.assert_array_equal(Checkpoint.load(path).flat_params, first.flat_params)
+
+    def test_build_net_from_flat_params(self):
+        rng = np.random.default_rng(17)
+        ckpt = train(make_samples(2, rng), TrainConfig(loss="hybrid_rps", epochs=1))
+        net = ckpt.build_net()
+        np.testing.assert_array_equal(net.flatten(), ckpt.flat_params)
+        reference = TinyNet.init(ckpt.out_channels, ckpt.hidden_channels)
+        for name in PARAM_NAMES:
+            assert net.params[name].shape == reference.params[name].shape
+            assert net.params[name].dtype == np.float64
+        assert ckpt.net is ckpt.net  # built once, then reused by predict
+        ckpt.flat_params = ckpt.flat_params[:-1]
+        with pytest.raises(ArchitectureMismatch):
+            ckpt.build_net()
 
     def test_predict_aggregates_ordinal_head(self):
         rng = np.random.default_rng(15)
