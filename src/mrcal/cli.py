@@ -4,6 +4,9 @@ stdout carries machine-readable JSON (or JSON lines) only; human
 diagnostics go to stderr. Exit codes: 0 success, 1 IO/data error, 2 usage
 error, 3 numerical failure, 4 metric undefined (single-class AUC).
 
+Each command builds its config dataclass from the arguments before any data
+is read; `main` maps the dataclass's ValueError to exit 2.
+
 MRCAL_THREADS caps worker threads (0 = auto). All computation in this
 implementation runs sequentially in deterministic order, so the cap is
 accepted and validated but never changes results.
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import core, metrics, model, synthgen
 from .core import DatasetError, ForegroundProbMap, load_dataset
-from .fusion import METHODS, FusionConfig, SoftLabelMap, fuse, fuse_staple
+from .fusion import METHODS, DegenerateStack, FusionConfig, SoftLabelMap, fuse, fuse_staple
 from .metrics import EvalConfig, SingleClassReference, bootstrap_eval, mr_ece, reliability_csv
 from .model import Checkpoint, NonFiniteLoss, TrainConfig, predict, train
 from .synthgen import LatentField, SynthConfig, generate, true_consensus_probability
@@ -50,8 +53,8 @@ def _thread_cap() -> int:
     return max(cap, 0)
 
 
-def cmd_synth(args) -> int:
-    cfg = SynthConfig(
+def _synth_config(args) -> SynthConfig:
+    return SynthConfig(
         num_samples=args.n,
         image_size=args.size,
         num_raters=args.raters,
@@ -60,6 +63,9 @@ def cmd_synth(args) -> int:
         rater_noise_std=args.rater_noise_std,
         seed=args.seed,
     )
+
+
+def cmd_synth(args, cfg: SynthConfig) -> int:
     try:
         manifest_path = generate(cfg, args.out)
     except OSError as exc:
@@ -75,8 +81,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_fuse(args) -> int:
-    cfg = FusionConfig(method=args.method, sigma=args.sigma, rng_seed=args.seed or 0)
+def _fusion_config(args) -> FusionConfig:
+    return FusionConfig(method=args.method, sigma=args.sigma, rng_seed=args.seed or 0)
+
+
+def cmd_fuse(args, cfg: FusionConfig) -> int:
     try:
         dataset = load_dataset(Path(args.data) / "manifest.json")
     except DatasetError as exc:
@@ -89,10 +98,14 @@ def cmd_fuse(args) -> int:
     for split in core.SPLITS:
         for sample in dataset[split]:
             perf = None
-            if args.method == "staple":
-                fused, perf = fuse_staple(sample.annotations, cfg)
-            else:
-                fused = fuse(sample.annotations, cfg, step=step)
+            try:
+                if args.method == "staple":
+                    fused, perf = fuse_staple(sample.annotations, cfg)
+                else:
+                    fused = fuse(sample.annotations, cfg, step=step)
+            except DegenerateStack as exc:
+                _diag(f"cannot fuse sample {sample.id!r} with {args.method}: {exc}")
+                return EXIT_IO
             step += 1
             path = out_dir / f"{sample.id}_{args.method}.mrc"
             if isinstance(fused, SoftLabelMap):
@@ -137,19 +150,18 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, cfg: TrainConfig) -> int:
     try:
         dataset = load_dataset(Path(args.data) / "manifest.json")
     except DatasetError as exc:
         _diag(f"cannot load dataset: {exc}")
         return EXIT_IO
-    cfg = _train_config(args)
     try:
         checkpoint = train(dataset["train"], cfg)
     except NonFiniteLoss as exc:
         _diag(f"training aborted: {exc}")
         return EXIT_NUMERIC
-    except (model.EmptyTrainSplit, model.ArchitectureMismatch) as exc:
+    except (model.EmptyTrainSplit, model.ArchitectureMismatch, DegenerateStack) as exc:
         _diag(f"training failed: {exc}")
         return EXIT_IO
     checkpoint.save(args.out)
@@ -181,7 +193,17 @@ def _model_predictions(model_path: str, samples):
     return [predict(checkpoint, s.image).data for s in samples]
 
 
-def cmd_eval(args) -> int:
+def _eval_config(args) -> EvalConfig:
+    return EvalConfig(
+        num_bins=args.bins,
+        bootstrap_n=args.bootstrap,
+        bootstrap_frac=args.frac,
+        seed=args.seed,
+        ece_mode=args.ece_mode,
+    )
+
+
+def cmd_eval(args, cfg: EvalConfig) -> int:
     data_dir = Path(args.data)
     try:
         dataset = load_dataset(data_dir / "manifest.json")
@@ -206,13 +228,6 @@ def cmd_eval(args) -> int:
         _diag(f"non-finite predictions: {exc}")
         return EXIT_NUMERIC
 
-    cfg = EvalConfig(
-        num_bins=args.bins,
-        bootstrap_n=args.bootstrap,
-        bootstrap_frac=args.frac,
-        seed=args.seed,
-        ece_mode=args.ece_mode,
-    )
     stacks = [s.annotations for s in samples]
     report = bootstrap_eval(preds, stacks, cfg)
     if args.reliability:
@@ -249,15 +264,19 @@ def _parse_grid(spec: str) -> list[float]:
     raise ValueError(f"malformed grid {spec!r} (expected start:stop:step or value)")
 
 
-def cmd_sweep(args) -> int:
+def _sweep_config(args) -> list[TrainConfig]:
+    """One hybrid_rps training config per alpha on the grid."""
     if args.param != "alpha":
-        _diag(f"unsupported sweep parameter {args.param!r}")
-        return EXIT_USAGE
-    try:
-        values = _parse_grid(args.values)
-    except ValueError as exc:
-        _diag(str(exc))
-        return EXIT_USAGE
+        raise ValueError(f"unsupported sweep parameter {args.param!r}")
+    if args.metric != "mr_ece":
+        raise ValueError(f"unsupported sweep metric {args.metric!r}")
+    return [
+        TrainConfig(loss="hybrid_rps", alpha=value, lr=args.lr, epochs=args.epochs, seed=args.seed)
+        for value in _parse_grid(args.values)
+    ]
+
+
+def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
     try:
         dataset = load_dataset(Path(args.data) / "manifest.json")
     except DatasetError as exc:
@@ -269,33 +288,22 @@ def cmd_sweep(args) -> int:
 
     eval_cfg = EvalConfig(seed=args.seed)
     table = []
-    for value in values:
-        cfg = TrainConfig(
-            loss="hybrid_rps",
-            alpha=value,
-            lr=args.lr,
-            epochs=args.epochs,
-            seed=args.seed,
-        )
+    for cfg in cfgs:
         try:
             checkpoint = train(dataset["train"], cfg)
         except NonFiniteLoss as exc:
-            _diag(f"alpha={value}: {exc}")
+            _diag(f"alpha={cfg.alpha}: {exc}")
             return EXIT_NUMERIC
         preds = [predict(checkpoint, s.image).data for s in dataset["val"]]
         stacks = [s.annotations for s in dataset["val"]]
-        if args.metric == "mr_ece":
-            metric_value, _ = mr_ece(preds, stacks, eval_cfg)
-        else:
-            _diag(f"unsupported sweep metric {args.metric!r}")
-            return EXIT_USAGE
-        table.append({"value": value, "metric": metric_value})
+        metric_value, _ = mr_ece(preds, stacks, eval_cfg)
+        table.append({"value": cfg.alpha, "metric": metric_value})
     best = min(table, key=lambda row: row["metric"])
     _emit({"param": args.param, "metric": args.metric, "table": table, "argmin": best["value"]})
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, _cfg) -> int:
     try:
         doc = json.loads(Path(args.report).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rater-bias-std", type=float, default=0.1)
     p.add_argument("--rater-noise-std", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, config=_synth_config)
 
     p = sub.add_parser("fuse", help="write fused supervision targets")
     p.add_argument("--data", required=True)
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse)
+    p.set_defaults(func=cmd_fuse, config=_fusion_config)
 
     p = sub.add_parser("train", help="train a segmentation model")
     p.add_argument("--data", required=True)
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, config=_train_config)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (or the synth oracle)")
     p.add_argument("--model", required=True, help="checkpoint path or 'oracle'")
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ece-mode", default="frequency", choices=("frequency", "top_label")
     )
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, config=_eval_config)
 
     p = sub.add_parser("sweep", help="grid sweep of a hyperparameter on the val split")
     p.add_argument("--data", required=True)
@@ -370,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, config=_sweep_config)
 
     p = sub.add_parser("report", help="echo a metric report JSON to stdout")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, config=lambda args: None)
 
     return parser
 
@@ -386,7 +394,12 @@ def main(argv=None) -> int:
     if args.command == "fuse" and args.method == "rs" and args.seed is None:
         parser.error("--method rs requires --seed")
     try:
-        return args.func(args)
+        cfg = args.config(args)
+    except ValueError as exc:
+        _diag(f"{args.command}: {exc}")
+        return EXIT_USAGE
+    try:
+        return args.func(args, cfg)
     except SingleClassReference as exc:
         _diag(str(exc))
         return EXIT_UNDEFINED

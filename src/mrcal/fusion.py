@@ -26,8 +26,9 @@ from .core import BinaryMask, Grid2D, RaterStack, majority_level
 METHODS = ("rs", "mc", "sc", "scg", "staple", "simple", "svls")
 
 
-class DegenerateStack(Exception):
-    """Raised when a stack has no foreground/background contrast at all."""
+class DegenerateStack(ValueError):
+    """Raised when a method is undefined on a stack: too few raters, or no
+    foreground/background contrast at all."""
 
 
 @dataclass(frozen=True)
@@ -142,23 +143,15 @@ def fuse_soft_gaussian(stack: RaterStack, sigma: float) -> SoftLabelMap:
     return SoftLabelMap.from_array(np.clip(smoothed, 0.0, 1.0))
 
 
-def staple_log_likelihood(
-    stack_arr: np.ndarray, prior: float, sens: np.ndarray, spec: np.ndarray
-) -> float:
-    """Observed-data log-likelihood of the STAPLE model at given parameters."""
-    a, b = _staple_ab(stack_arr, prior, sens, spec)
-    return float(np.log(a + b).sum())
-
-
-def _staple_ab(stack_arr, prior, sens, spec):
-    y = stack_arr.reshape(stack_arr.shape[0], -1).astype(np.float64)
+def _staple_log_ab(patterns, prior, sens, spec):
+    """Log joint probability of each vote pattern (column) with truth 1 and 0."""
     log_a = np.log(prior) + (
-        y * np.log(sens)[:, None] + (1.0 - y) * np.log(1.0 - sens)[:, None]
+        patterns * np.log(sens)[:, None] + (1.0 - patterns) * np.log(1.0 - sens)[:, None]
     ).sum(axis=0)
     log_b = np.log(1.0 - prior) + (
-        (1.0 - y) * np.log(spec)[:, None] + y * np.log(1.0 - spec)[:, None]
+        (1.0 - patterns) * np.log(spec)[:, None] + patterns * np.log(1.0 - spec)[:, None]
     ).sum(axis=0)
-    return np.exp(log_a), np.exp(log_b)
+    return log_a, log_b
 
 
 def fuse_staple(
@@ -166,19 +159,30 @@ def fuse_staple(
 ):
     """EM estimate of a latent soft truth plus per-rater performance.
 
+    The posterior depends on a voxel only through its K-bit vote pattern, so
+    EM runs on the distinct patterns weighted by their voxel counts and the
+    result is scattered back to the voxels. The E-step stays in the log
+    domain, so no K-term product underflows at large K.
+
     Returns (SoftLabelMap, RaterPerformance), or a third element with the
     per-iteration log-likelihood trace when track_likelihood is set.
     """
     if stack.num_raters < 2:
-        raise ValueError("STAPLE requires K >= 2 raters")
+        raise DegenerateStack("STAPLE requires K >= 2 raters")
     arr = stack.as_array()
     if arr.min() == arr.max():
         raise DegenerateStack("all voxels identical across the whole stack")
 
     k = stack.num_raters
     n = arr.shape[1] * arr.shape[2]
-    y = arr.reshape(k, n).astype(np.float64)
-    prior = float(y.mean())
+    flat = arr.reshape(k, n)
+    packed = np.ascontiguousarray(np.packbits(flat, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, c = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    y = flat[:, first].astype(np.float64)
+    prior = np.count_nonzero(flat) / flat.size
     sens = np.full(k, 0.95)
     spec = np.full(k, 0.95)
     clamp = lambda v: np.clip(v, 1e-6, 1.0 - 1e-6)
@@ -186,20 +190,24 @@ def fuse_staple(
     w = None
     trace = []
     for _ in range(cfg.staple_max_iters):
+        log_a, log_b = _staple_log_ab(y, prior, sens, spec)
         if track_likelihood:
-            trace.append(staple_log_likelihood(arr, prior, sens, spec))
-        a, b = _staple_ab(arr, prior, sens, spec)
-        w_new = a / (a + b)
-        sens = clamp((w_new * y).sum(axis=1) / w_new.sum())
-        spec = clamp(((1.0 - w_new) * (1.0 - y)).sum(axis=1) / (1.0 - w_new).sum())
-        if w is not None and np.abs(w_new - w).mean() < cfg.staple_tol:
+            trace.append(float((c * np.logaddexp(log_a, log_b)).sum()))
+        with np.errstate(over="ignore"):  # exp -> inf gives w = 0 exactly
+            w_new = 1.0 / (1.0 + np.exp(log_b - log_a))
+        cw = c * w_new
+        cv = c * (1.0 - w_new)
+        sens = clamp((y * cw).sum(axis=1) / cw.sum())
+        spec = clamp(((1.0 - y) * cv).sum(axis=1) / cv.sum())
+        if w is not None and (c * np.abs(w_new - w)).sum() / n < cfg.staple_tol:
             w = w_new
             break
         w = w_new
     if track_likelihood:
-        trace.append(staple_log_likelihood(arr, prior, sens, spec))
+        log_a, log_b = _staple_log_ab(y, prior, sens, spec)
+        trace.append(float((c * np.logaddexp(log_a, log_b)).sum()))
 
-    soft = SoftLabelMap.from_array(w.reshape(arr.shape[1:]))
+    soft = SoftLabelMap.from_array(w[inverse].reshape(arr.shape[1:]))
     perf = RaterPerformance(sensitivity=tuple(sens), specificity=tuple(spec))
     if track_likelihood:
         return soft, perf, trace
@@ -221,7 +229,7 @@ def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
     before fewer than simple_min_raters would remain.
     """
     if stack.num_raters < 2:
-        raise ValueError("SIMPLE requires K >= 2 raters")
+        raise DegenerateStack("SIMPLE requires K >= 2 raters")
     arr = stack.as_array().astype(bool)
     included = list(range(stack.num_raters))
 
@@ -264,9 +272,13 @@ def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> SoftLabelMap:
     num = np.zeros_like(pbar)
     den = np.zeros_like(pbar)
     two_sig2 = 2.0 * sig * sig
+    weights = {}  # one exp per distinct squared offset
     for di in range(-radius, radius + 1):
         for dj in range(-radius, radius + 1):
-            weight = np.exp(-(di * di + dj * dj) / two_sig2)
+            r2 = di * di + dj * dj
+            if r2 not in weights:
+                weights[r2] = np.exp(-r2 / two_sig2)
+            weight = weights[r2]
             shifted = padded[radius + di : radius + di + h, radius + dj : radius + dj + wdt]
             num += weight * shifted
             den += weight

@@ -50,6 +50,8 @@ class EvalConfig:
             raise ValueError("bootstrap_frac must be in (0,1]")
         if self.num_bins < 1:
             raise ValueError("num_bins must be >= 1")
+        if self.bootstrap_n < 1:
+            raise ValueError("bootstrap_n must be >= 1")
         if self.ece_mode not in ("frequency", "top_label"):
             raise ValueError(f"unknown ece_mode {self.ece_mode!r}")
 
@@ -266,8 +268,6 @@ def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
     """
     if not stacks:
         raise EmptyTestSet("test set is empty")
-    if cfg.bootstrap_n < 1:
-        raise ValueError("bootstrap_n must be >= 1")
     preds = [_as_pred_array(p) for p in preds]
     image_bins = _image_bins(preds, stacks, cfg)
     distinct, inverse = np.unique(

@@ -44,7 +44,7 @@ from .core import (
     read_container,
     write_container,
 )
-from .fusion import FusionConfig, fuse, fuse_staple
+from .fusion import DegenerateStack, FusionConfig, fuse, fuse_staple
 from .ordinal import LossConfig, OrdinalProbMap, aggregate_foreground, hybrid_loss, orc_encode
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -82,6 +82,8 @@ class TrainConfig:
             raise ValueError("lr must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.loss not in ("hybrid_rps", "bce_vs_fused"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -354,7 +356,12 @@ class Checkpoint:
 
 
 def _fused_target(sample, cfg: TrainConfig, step: int) -> np.ndarray:
-    fused = fuse(sample.annotations, cfg.fusion, step=step)
+    try:
+        fused = fuse(sample.annotations, cfg.fusion, step=step)
+    except DegenerateStack as exc:
+        raise DegenerateStack(
+            f"cannot fuse sample {sample.id!r} with {cfg.fusion.method}: {exc}"
+        ) from exc
     return fused.data.astype(np.float64)
 
 

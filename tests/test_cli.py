@@ -328,6 +328,123 @@ class TestTrainEval:
         assert err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def one_rater_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data1") / "ds"
+    code = main(
+        ["synth", "--out", str(out), "--n", "8", "--size", "16", "--raters", "1", "--seed", "3"]
+    )
+    assert code == 0
+    return out
+
+
+def _blank_train_sample(dataset, tmp_path):
+    """Copy of the dataset in which every rater of one train sample marks nothing."""
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    entry = next(s for s in manifest["samples"] if s["split"] == "train")
+    for rel in entry["rater_paths"]:
+        dtype, dims, mask = read_container(data / rel)
+        write_container(dtype, dims, np.zeros_like(mask), data / rel)
+    return data, entry["id"]
+
+
+class TestUndefinedFusion:
+    @pytest.mark.parametrize("method", ["staple", "simple"])
+    def test_fuse_one_rater_is_data_error(self, capsys, one_rater_dataset, tmp_path, method):
+        code, out, err = run_cli(
+            capsys,
+            "fuse", "--data", str(one_rater_dataset), "--method", method,
+            "--out", str(tmp_path / "f"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot fuse sample ") and method in err and "K >= 2" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["staple", "simple"])
+    def test_train_one_rater_is_data_error(self, capsys, one_rater_dataset, tmp_path, method):
+        ckpt = tmp_path / "m.mrc"
+        code, out, err = run_cli(
+            capsys,
+            "train", "--data", str(one_rater_dataset), "--loss", method,
+            "--epochs", "1", "--out", str(ckpt),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("training failed: cannot fuse sample ")
+        assert method in err and "K >= 2" in err
+        assert err.count("\n") == 1
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("method", ["sc", "svls", "mc"])
+    def test_other_methods_accept_one_rater(self, capsys, one_rater_dataset, tmp_path, method):
+        code, _, _ = run_cli(
+            capsys,
+            "fuse", "--data", str(one_rater_dataset), "--method", method,
+            "--out", str(tmp_path / "f"),
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ["fuse", "train"])
+    def test_degenerate_stack_is_data_error(self, capsys, dataset, tmp_path, command):
+        data, sample_id = _blank_train_sample(dataset, tmp_path)
+        if command == "fuse":
+            argv = ["fuse", "--data", str(data), "--method", "staple", "--out", str(tmp_path / "f")]
+        else:
+            argv = ["train", "--data", str(data), "--loss", "staple", "--epochs", "1",
+                    "--out", str(tmp_path / "m.mrc")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"cannot fuse sample {sample_id!r} with staple" in err
+        assert "identical" in err
+        assert err.count("\n") == 1
+
+
+INVALID_CONFIGS = [
+    ["synth", "--out", "{tmp}/s", "--n", "0"],
+    ["synth", "--out", "{tmp}/s", "--size", "4"],
+    ["synth", "--out", "{tmp}/s", "--raters", "0"],
+    ["synth", "--out", "{tmp}/s", "--ambiguity", "2"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--epochs", "0"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--lr", "0"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--batch-size", "0"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--batch-size", "-3"],
+    ["train", "--data", "{tmp}/none", "--loss", "scg", "--out", "{tmp}/m.mrc", "--sigma", "0"],
+    ["fuse", "--data", "{tmp}/none", "--method", "svls", "--out", "{tmp}/f", "--sigma", "0"],
+    ["eval", "--model", "oracle", "--data", "{tmp}/none", "--bins", "0"],
+    ["eval", "--model", "oracle", "--data", "{tmp}/none", "--frac", "0"],
+    ["eval", "--model", "oracle", "--data", "{tmp}/none", "--bootstrap", "0"],
+    ["sweep", "--data", "{tmp}/none", "--values", "0.5:0.7:0.1", "--epochs", "0"],
+    ["sweep", "--data", "{tmp}/none", "--values", "0.5", "--metric", "auc"],
+]
+
+
+class TestInvalidConfig:
+    @pytest.mark.parametrize(
+        "argv", INVALID_CONFIGS, ids=[" ".join(a[:1] + a[-2:]) for a in INVALID_CONFIGS]
+    )
+    def test_usage_error_before_data_is_read(self, capsys, tmp_path, argv):
+        # the data paths do not exist: a config check that ran after loading
+        # would report exit 1 instead
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{argv[0]}: ")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_batch_size_one_still_trains(self, capsys, dataset, tmp_path):
+        code, _, _ = run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps", "--batch-size", "1",
+            "--epochs", "1", "--out", str(tmp_path / "m.mrc"),
+        )
+        assert code == 0
+
+
 class TestSweep:
     def test_grid_parse(self):
         values = _parse_grid("0.5:1.0:0.1")
@@ -385,6 +502,27 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         json.loads(result.stdout)  # stdout is pure JSON
+
+    def test_fusion_identical_across_blas_threads(self, dataset, tmp_path):
+        digests = {}
+        for threads in ("1", "2"):
+            for method in ("staple", "svls"):
+                out = tmp_path / f"{method}{threads}"
+                result = subprocess.run(
+                    [sys.executable, "-m", "mrcal.cli", "fuse", "--data", str(dataset),
+                     "--method", method, "--out", str(out)],
+                    capture_output=True, text=True,
+                    env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                )
+                assert result.returncode == 0, result.stderr
+                files = sorted(out.iterdir())
+                assert len(files) == 16
+                digest = hashlib.sha256()
+                for path in files:
+                    digest.update(path.name.encode() + path.read_bytes())
+                digests[method, threads] = digest.hexdigest()
+        assert digests["staple", "1"] == digests["staple", "2"]
+        assert digests["svls", "1"] == digests["svls", "2"]
 
     def test_thread_cap_env(self, tmp_path):
         for threads in ("1", "4"):

@@ -221,6 +221,131 @@ def _staple_oracle(y):
     return w
 
 
+def _staple_voxel_reference(arr, max_iters=100, tol=1e-6):
+    """Voxel-level STAPLE EM in the probability domain, as it ran before the
+    pattern histogram: returns (w, sens, spec, iterations)."""
+    k = arr.shape[0]
+    y = arr.reshape(k, -1).astype(np.float64)
+    prior = float(y.mean())
+    sens = np.full(k, 0.95)
+    spec = np.full(k, 0.95)
+    clamp = lambda v: np.clip(v, 1e-6, 1.0 - 1e-6)
+    w = None
+    for iters in range(1, max_iters + 1):
+        a = np.exp(np.log(prior) + (
+            y * np.log(sens)[:, None] + (1.0 - y) * np.log(1.0 - sens)[:, None]
+        ).sum(axis=0))
+        b = np.exp(np.log(1.0 - prior) + (
+            (1.0 - y) * np.log(spec)[:, None] + y * np.log(1.0 - spec)[:, None]
+        ).sum(axis=0))
+        w_new = a / (a + b)
+        sens = clamp((w_new * y).sum(axis=1) / w_new.sum())
+        spec = clamp(((1.0 - w_new) * (1.0 - y)).sum(axis=1) / (1.0 - w_new).sum())
+        done = w is not None and np.abs(w_new - w).mean() < tol
+        w = w_new
+        if done:
+            break
+    return w.reshape(arr.shape[1:]), sens, spec, iters
+
+
+def _noisy_raters(rng, k, shape):
+    """K raters flipping a blobby truth at per-rater rates, plus one rater
+    that marks everything foreground."""
+    truth = rng.random(shape) < 0.4
+    flip = rng.random((k, *shape)) < rng.uniform(0.02, 0.3, size=(k, 1, 1))
+    arr = (truth ^ flip).astype(np.uint8)
+    arr[-1] = 1
+    return arr
+
+
+class TestStapleHistogram:
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 16, 17])
+    def test_matches_voxel_reference(self, k):
+        rng = np.random.default_rng(100 + k)
+        cases = [
+            rng.integers(0, 2, size=(k, 20, 20)).astype(np.uint8),
+            _noisy_raters(rng, k, (24, 31)),
+            (rng.random((k, 16, 16)) < 0.1).astype(np.uint8),
+        ]
+        for arr in cases:
+            soft, perf, trace = fuse_staple(
+                RaterStack.from_array(arr), FusionConfig(method="staple"), track_likelihood=True
+            )
+            w, sens, spec, iters = _staple_voxel_reference(arr)
+            assert np.abs(soft.data - w).max() < 1e-10
+            assert np.abs(np.array(perf.sensitivity) - sens).max() < 1e-10
+            assert np.abs(np.array(perf.specificity) - spec).max() < 1e-10
+            assert len(trace) - 1 == iters
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 5, 100])
+    def test_iteration_count_and_monotone_likelihood(self, max_iters):
+        rng = np.random.default_rng(7)
+        arr = _noisy_raters(rng, 9, (20, 20))
+        cfg = FusionConfig(method="staple", staple_max_iters=max_iters, staple_tol=1e-12)
+        _, _, trace = fuse_staple(RaterStack.from_array(arr), cfg, track_likelihood=True)
+        assert len(trace) - 1 == _staple_voxel_reference(arr, max_iters, 1e-12)[3]
+        assert len(trace) - 1 <= max_iters
+        assert np.all(np.isfinite(trace))
+        assert np.diff(trace).min() >= -1e-9 * abs(trace[0])
+
+    def test_likelihood_equals_voxel_sum(self):
+        rng = np.random.default_rng(8)
+        arr = _noisy_raters(rng, 5, (12, 12))
+        cfg = FusionConfig(method="staple", staple_max_iters=1)
+        _, _, trace = fuse_staple(RaterStack.from_array(arr), cfg, track_likelihood=True)
+        y = arr.reshape(5, -1).astype(np.float64)
+        prior = y.mean()
+        per_voxel = np.logaddexp(
+            np.log(prior) + (y * np.log(0.95) + (1 - y) * np.log(0.05)).sum(axis=0),
+            np.log(1 - prior) + ((1 - y) * np.log(0.95) + y * np.log(0.05)).sum(axis=0),
+        )
+        assert abs(trace[0] - per_voxel.sum()) < 1e-9 * abs(trace[0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_thousand_raters_finite(self, seed):
+        rng = np.random.default_rng(seed)
+        for arr in (
+            rng.integers(0, 2, size=(1000, 10, 10)).astype(np.uint8),
+            _noisy_raters(rng, 1000, (12, 12)),
+        ):
+            soft, perf, trace = fuse_staple(
+                RaterStack.from_array(arr), FusionConfig(method="staple"), track_likelihood=True
+            )
+            assert np.isfinite(soft.data).all()
+            assert soft.data.min() >= 0.0 and soft.data.max() <= 1.0
+            assert all(0.0 < v < 1.0 for v in (*perf.sensitivity, *perf.specificity))
+            assert np.all(np.isfinite(trace))
+
+    def test_one_rater_rejected(self):
+        stack = stack_from(np.eye(4, dtype=np.uint8)[None])
+        with pytest.raises(DegenerateStack, match="K >= 2"):
+            fuse_staple(stack, FusionConfig(method="staple"))
+        with pytest.raises(DegenerateStack, match="K >= 2"):
+            fuse_simple(stack, FusionConfig(method="simple"))
+
+
+class TestSvlsWeights:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
+    def test_equals_one_exp_per_tap(self, sigma):
+        rng = np.random.default_rng(round(sigma * 10))
+        stack = random_stack(rng, k=5, shape=(13, 17))
+        pbar = fuse_soft(stack).data
+        d = 4.0 * pbar * (1.0 - pbar)
+        sig = sigma * (0.25 + 0.75 * d)
+        radius = math.ceil(3.0 * sigma)
+        padded = np.pad(pbar, radius, mode="symmetric")
+        num = np.zeros_like(pbar)
+        den = np.zeros_like(pbar)
+        for di in range(-radius, radius + 1):
+            for dj in range(-radius, radius + 1):
+                weight = np.exp(-(di * di + dj * dj) / (2.0 * sig * sig))
+                num += weight * padded[radius + di : radius + di + 13, radius + dj : radius + dj + 17]
+                den += weight
+        expected = np.clip(num / den, 0.0, 1.0)
+        out = fuse_svls(stack, FusionConfig(method="svls", sigma=sigma)).data
+        assert np.array_equal(out, expected)
+
+
 class TestSimple:
     def test_identical_raters(self):
         rng = np.random.default_rng(2)
