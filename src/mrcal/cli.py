@@ -4,19 +4,19 @@ stdout carries machine-readable JSON (or JSON lines) only; human
 diagnostics go to stderr. Exit codes: 0 success, 1 IO/data error, 2 usage
 error, 3 numerical failure, 4 metric undefined (single-class AUC).
 
-Each command builds its config dataclass from the arguments before any data
-is read; `main` maps the dataclass's ValueError to exit 2.
+Before any data is read, `main` checks MRCAL_THREADS and each command builds
+its config dataclass from the arguments; `main` maps their ValueError to
+exit 2. An output path that cannot be written exits 1.
 
-MRCAL_THREADS caps worker threads (0 = auto). All computation in this
-implementation runs sequentially in deterministic order, so the cap is
-accepted and validated but never changes results.
+MRCAL_THREADS sizes the worker pool that runs inference bands (0 or unset
+= one thread per usable CPU, see `model.thread_cap`); each band writes its
+own rows, so results never depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -42,15 +42,6 @@ def _emit(obj) -> None:
 
 def _diag(msg: str) -> None:
     sys.stderr.write(msg + "\n")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MRCAL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
-    return max(cap, 0)
 
 
 def _synth_config(args) -> SynthConfig:
@@ -164,7 +155,11 @@ def cmd_train(args, cfg: TrainConfig) -> int:
     except (model.EmptyTrainSplit, model.ArchitectureMismatch, DegenerateStack) as exc:
         _diag(f"training failed: {exc}")
         return EXIT_IO
-    checkpoint.save(args.out)
+    try:
+        checkpoint.save(args.out)
+    except OSError as exc:
+        _diag(f"cannot write checkpoint {args.out}: {exc.strerror or exc}")
+        return EXIT_IO
     for epoch, loss in enumerate(checkpoint.loss_trace):
         _emit({"epoch": epoch, "loss": loss})
     return EXIT_OK
@@ -230,16 +225,20 @@ def cmd_eval(args, cfg: EvalConfig) -> int:
 
     stacks = [s.annotations for s in samples]
     report = bootstrap_eval(preds, stacks, cfg)
-    if args.reliability:
-        reliability_csv(report.bins, args.reliability)
-        report.bins_csv_path = str(args.reliability)
     report.notes = {
         "auc_reference": "majority_vote_ties_foreground",
         "split": args.split,
         "model": str(args.model),
     }
-    if args.report:
-        Path(args.report).write_text(report.to_json())
+    try:
+        if args.reliability:
+            reliability_csv(report.bins, args.reliability)
+            report.bins_csv_path = str(args.reliability)
+        if args.report:
+            Path(args.report).write_text(report.to_json())
+    except OSError as exc:
+        _diag(f"cannot write eval output: {exc}")
+        return EXIT_IO
     _emit({"mr_ece": report.mr_ece, "auc": report.auc})
     return EXIT_UNDEFINED if report.auc is None else EXIT_OK
 
@@ -390,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _thread_cap()
     if args.command == "fuse" and args.method == "rs" and args.seed is None:
         parser.error("--method rs requires --seed")
     try:
+        model.thread_cap()
         cfg = args.config(args)
     except ValueError as exc:
         _diag(f"{args.command}: {exc}")

@@ -184,6 +184,27 @@ def ece_single(pred, mask: BinaryMask, cfg: EvalConfig) -> float:
     return bins.ece_value()
 
 
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Index of each value of the 1-D `values` among the sorted distinct
+    values: np.unique's return_inverse, so np.bincount of it is
+    return_counts.
+
+    One argsort; a value starts a new rank where it differs from its sorted
+    predecessor. Equal values, -0.0 and 0.0 included, are adjacent in any
+    sort order, so the result does not depend on how ties are ordered.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    del ordered  # lowers the peak: the scatter below holds two index arrays
+    ranks = np.cumsum(starts, dtype=np.intp)
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    return inverse
+
+
 def _rank_auc(counts: np.ndarray, positives: np.ndarray) -> float | None:
     """Mann-Whitney AUC with ties counted 0.5; None if one class.
 
@@ -203,10 +224,8 @@ def _rank_auc(counts: np.ndarray, positives: np.ndarray) -> float | None:
 def auc(pred, reference: BinaryMask) -> float:
     """Mann-Whitney AUC: P(score of random positive > random negative),
     ties counted 0.5."""
-    _, inverse, counts = np.unique(
-        _as_pred_array(pred).ravel(), return_inverse=True, return_counts=True
-    )
-    value = _rank_auc(counts, inverse[reference.data.ravel().astype(bool)])
+    inverse = _dense_ranks(_as_pred_array(pred).ravel())
+    value = _rank_auc(np.bincount(inverse), inverse[reference.data.ravel().astype(bool)])
     if value is None:
         raise SingleClassReference("reference must contain both classes")
     return value
@@ -270,16 +289,12 @@ def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
         raise EmptyTestSet("test set is empty")
     preds = [_as_pred_array(p) for p in preds]
     image_bins = _image_bins(preds, stacks, cfg)
-    distinct, inverse = np.unique(
-        np.concatenate([p.ravel() for p in preds]), return_inverse=True
-    )
+    inverse = _dense_ranks(np.concatenate([p.ravel() for p in preds]))
     inverses = np.split(inverse, np.cumsum([p.size for p in preds])[:-1])
     positives = [inv[s.majority().ravel()] for inv, s in zip(inverses, stacks)]
 
     def evaluate(idx):
-        counts = np.bincount(
-            np.concatenate([inverses[i] for i in idx]), minlength=distinct.size
-        )
+        counts = np.bincount(np.concatenate([inverses[i] for i in idx]))
         value = _rank_auc(counts, np.concatenate([positives[i] for i in idx]))
         return _merged(image_bins, idx, cfg.num_bins), value
 

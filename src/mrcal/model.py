@@ -13,8 +13,12 @@ columns of the upstream gradient; conv1's input gradient (the gradient with
 respect to the image) is never needed, so it is not computed. Backward passes
 are exact reverse-mode gradients, verified against finite differences and a
 direct-loop convolution in the test suite. Inference keeps no cache: it runs
-conv2, its ReLU and the head over row bands of at most BAND_PIXELS pixels, so
-conv2's columns stay cache-sized at any image size.
+the whole net (conv1 with a one-row halo, both ReLUs, conv2 and the head) per
+row band of at most BAND_PIXELS pixels, so every intermediate stays
+cache-sized at any image size. The bands are independent and may run on
+worker threads (MRCAL_THREADS, see `thread_cap`); each writes only its own
+rows of the logits, so the result is the same bit for bit at every thread
+count. Training runs the same code as one whole-image band.
 
 Two arrays are stored pixel-major ((H, W, C) in memory, see
 `_pixel_major_like`): conv2's ReLU output, which the head's einsums read, and
@@ -31,7 +35,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +53,7 @@ from .ordinal import LossConfig, OrdinalProbMap, aggregate_foreground, hybrid_lo
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
-# Pixels per inference band of conv2 (see `_forward_logits`): 4096 pixels of
+# Pixels per inference band (see `_forward_logits`): 4096 pixels of conv2's
 # 16-channel columns are 4.7 MB, against 75 MB for a whole 256x256 image.
 BAND_PIXELS = 4096
 
@@ -196,40 +200,92 @@ def _pixel_major_like(x: np.ndarray) -> np.ndarray:
     return np.empty((h, wd, c)).transpose(2, 0, 1)
 
 
+def thread_cap() -> int:
+    """Worker threads for inference bands: MRCAL_THREADS, where 0 or unset
+    means one per CPU this process may run on. Raises ValueError naming the
+    variable and its value when it is not a non-negative integer."""
+    raw = os.environ.get("MRCAL_THREADS", "0")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"MRCAL_THREADS must be a non-negative integer, got {raw!r}")
+    return cap or len(os.sched_getaffinity(0))
+
+
+@cache
+def _band_pool(workers: int):
+    """The process's inference worker pool of `workers` threads, made on first use."""
+    # imported here: commands that never run threaded inference skip its import cost
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mrcal-band")
+
+
+# a forked child inherits the pools but none of their threads
+os.register_at_fork(after_in_child=_band_pool.cache_clear)
+
+
+def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int, logits: np.ndarray):
+    """Run the whole net for image rows [top, bottom) into logits[:, top:bottom].
+
+    `padded` is the zero-padded (1, H+2, W+2) image. conv1 runs on the band
+    plus a one-row halo above and below (clipped to the image), since conv2
+    reads it; its ReLU goes into a zero-padded band buffer whose border rows
+    outside the image stay 0. Returns the band's caches for backward, which
+    cover the whole image when the band does.
+    """
+    h, wd = padded.shape[1] - 2, padded.shape[2] - 2
+    lo, hi = max(top - 1, 0), min(bottom + 1, h)  # conv1 output rows
+    cols1 = _padded_cols(padded[:, lo : hi + 2])
+    z1 = _conv3x3(cols1, net.params["w1"], net.params["b1"], (hi - lo, wd))
+    a1_padded = np.zeros((z1.shape[0], bottom - top + 2, wd + 2))
+    a1 = np.maximum(z1, 0.0, out=a1_padded[:, lo - top + 1 : hi - top + 1, 1:-1])
+    cols2 = _padded_cols(a1_padded)
+    z2 = _conv3x3(cols2, net.params["w2"], net.params["b2"], (bottom - top, wd))
+    a2 = np.maximum(z2, 0.0, out=_pixel_major_like(z2))
+    w3 = net.params["w3"][:, :, 0, 0]  # (C_out, C_h)
+    logits[:, top:bottom] = np.einsum("oc,chw->ohw", w3, a2) + net.params["b3"][:, None, None]
+    return {"cols1": cols1, "z1": z1, "a1": a1, "cols2": cols2, "z2": z2, "a2": a2}
+
+
 def _forward_logits(net: TinyNet, image: np.ndarray, keep_cache: bool = True):
     """Raw head outputs (C_out, H, W) plus the caches backward needs.
 
-    With keep_cache=False (inference) the cache is None, and conv2, its ReLU
-    and the head run over bands of max(1, BAND_PIXELS // W) rows, so conv2's
-    columns stay cache-sized instead of one (C*9, H*W) matrix per image.
-    With the cache, the band is the whole image.
+    With keep_cache=False (inference) the cache is None, and the whole net
+    runs per band of max(1, BAND_PIXELS // W) rows, so every intermediate
+    stays cache-sized instead of one (C*9, H*W) matrix per image. The bands
+    are independent and each writes its own rows of the logits, so they run
+    on `thread_cap()` worker threads with results that do not depend on the
+    thread count. With the cache, the band is the whole image.
     """
     h, wd = image.shape
-    cols1 = _im2col(image[None])
-    z1 = _conv3x3(cols1, net.params["w1"], net.params["b1"], (h, wd))
-    a1_padded = np.zeros((z1.shape[0], h + 2, wd + 2))
-    a1 = np.maximum(z1, 0.0, out=a1_padded[:, 1:-1, 1:-1])
-    w3 = net.params["w3"][:, :, 0, 0]  # (C_out, C_h)
+    padded = np.pad(image, 1)[None]
     logits = np.empty((net.out_channels, h, wd))
-    rows = h if keep_cache else max(1, BAND_PIXELS // wd)
-    for top in range(0, h, rows):
-        bottom = min(top + rows, h)
-        cols2 = _padded_cols(a1_padded[:, top : bottom + 2])
-        z2 = _conv3x3(cols2, net.params["w2"], net.params["b2"], (bottom - top, wd))
-        a2 = np.maximum(z2, 0.0, out=_pixel_major_like(z2))
-        logits[:, top:bottom] = (
-            np.einsum("oc,chw->ohw", w3, a2) + net.params["b3"][:, None, None]
-        )
-    if not keep_cache:
-        return logits, None
-    cache = {"cols1": cols1, "z1": z1, "a1": a1, "cols2": cols2, "z2": z2, "a2": a2}
-    return logits, cache
+    if keep_cache:
+        return logits, _band_logits(net, padded, 0, h, logits)
+    rows = max(1, BAND_PIXELS // wd)
+    bands = [(top, min(top + rows, h)) for top in range(0, h, rows)]
+
+    def run(band):
+        _band_logits(net, padded, *band, logits)  # its caches die here, not with the map
+
+    workers = thread_cap()
+    if workers == 1 or len(bands) == 1:
+        for band in bands:
+            run(band)
+    else:
+        # list() waits for every band and re-raises a band's exception
+        list(_band_pool(workers).map(run, bands))
+    return logits, None
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = logits - logits.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 def forward(net: TinyNet, image: Grid2D):
@@ -355,14 +411,19 @@ class Checkpoint:
         return checkpoint
 
 
-def _fused_target(sample, cfg: TrainConfig, step: int) -> np.ndarray:
+def _fused_target(sample, cfg: TrainConfig, step: int):
+    """The sample's fused target as float64, plus STAPLE's rater performance
+    estimate (None for the other methods)."""
     try:
-        fused = fuse(sample.annotations, cfg.fusion, step=step)
+        if cfg.fusion.method == "staple":
+            fused, perf = fuse_staple(sample.annotations, cfg.fusion)
+        else:
+            fused, perf = fuse(sample.annotations, cfg.fusion, step=step), None
     except DegenerateStack as exc:
         raise DegenerateStack(
             f"cannot fuse sample {sample.id!r} with {cfg.fusion.method}: {exc}"
         ) from exc
-    return fused.data.astype(np.float64)
+    return fused.data.astype(np.float64), perf
 
 
 def train(samples, cfg: TrainConfig) -> Checkpoint:
@@ -383,15 +444,16 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
                 f"sample {s.id!r} has K={s.annotations.num_raters}, expected {k}"
             )
 
+    perf = None  # STAPLE's rater performance on the first sample
     if cfg.loss == "hybrid_rps":
         out_channels = k + 1
         targets = {s.id: orc_encode(s.annotations) for s in samples}
     else:
         out_channels = 1
         if cfg.fusion.method != "rs":
-            targets = {
-                s.id: _fused_target(s, cfg, step=0) for s in samples
-            }
+            fused = [_fused_target(s, cfg, step=0) for s in samples]
+            targets = {s.id: target for s, (target, _) in zip(samples, fused)}
+            perf = fused[0][1]
         else:
             targets = None  # redrawn per (epoch, index)
 
@@ -415,7 +477,7 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
             else:
                 if targets is None:
                     step = epoch * len(samples) + int(idx)
-                    target = _fused_target(sample, cfg, step=step)
+                    target, _ = _fused_target(sample, cfg, step=step)
                 else:
                     target = targets[sample.id]
                 loss, d_logits = _sigmoid_bce(logits[0], target)
@@ -443,9 +505,7 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
         trace.append(float(np.mean(epoch_losses)))
 
     extra = {}
-    if cfg.loss == "bce_vs_fused" and cfg.fusion.method == "staple":
-        # record the per-rater performance STAPLE estimated on the first sample
-        _, perf = fuse_staple(samples[0].annotations, cfg.fusion)
+    if perf is not None:
         extra["staple_rater_performance"] = {
             "sensitivity": list(perf.sensitivity),
             "specificity": list(perf.specificity),

@@ -163,6 +163,29 @@ class TestTrainEval:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_unwritable_checkpoint_is_io_error(self, capsys, dataset, tmp_path):
+        out = tmp_path / "missing" / "t.mrc"
+        code, stdout, err = run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps", "--epochs", "1",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert str(out) in err and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("flag", ["--report", "--reliability"])
+    def test_unwritable_eval_output_is_io_error(self, capsys, dataset, tmp_path, flag):
+        out = tmp_path / "missing" / "out"
+        code, stdout, err = run_cli(
+            capsys,
+            "eval", "--model", "oracle", "--data", str(dataset), flag, str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert str(out) in err and err.count("\n") == 1
+
     def test_missing_model_is_io_error(self, capsys, dataset, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -523,6 +546,56 @@ class TestEntryPoint:
                 digests[method, threads] = digest.hexdigest()
         assert digests["staple", "1"] == digests["staple", "2"]
         assert digests["svls", "1"] == digests["svls", "2"]
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_thread_cap_is_usage_error(self, tmp_path, value):
+        result = subprocess.run(
+            [sys.executable, "-m", "mrcal.cli", "synth", "--out",
+             str(tmp_path / "ds"), "--n", "2", "--size", "16"],
+            capture_output=True, text=True, env=child_env(MRCAL_THREADS=value),
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "MRCAL_THREADS" in result.stderr and repr(value) in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "ds").exists()
+
+    def test_eval_identical_across_thread_counts(self, dataset, tmp_path):
+        # 128x128 images run 4 inference bands each
+        ckpt, data = tmp_path / "m.mrc", tmp_path / "big"
+        assert main(["train", "--data", str(dataset), "--loss", "rps", "--epochs", "2",
+                     "--out", str(ckpt)]) == 0
+        assert main(["synth", "--out", str(data), "--n", "6", "--size", "128", "--seed", "4"]) == 0
+        report, rel = tmp_path / "r.json", tmp_path / "r.csv"
+        digests = set()
+        for threads in ("1", "2", "4"):
+            for blas in ("1", "2"):
+                result = subprocess.run(
+                    [sys.executable, "-m", "mrcal.cli", "eval", "--model", str(ckpt),
+                     "--data", str(data), "--report", str(report), "--reliability", str(rel)],
+                    capture_output=True, text=True,
+                    env=child_env(MRCAL_THREADS=threads, OPENBLAS_NUM_THREADS=blas,
+                                  OMP_NUM_THREADS=blas),
+                )
+                assert result.returncode == 0, result.stderr
+                digests.add(hashlib.sha256(report.read_bytes() + rel.read_bytes()).hexdigest())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("loss", ["rps", "sc"])
+    def test_train_identical_across_blas_threads(self, dataset, tmp_path, loss):
+        digests = set()
+        for blas in ("1", "2"):
+            out = tmp_path / f"{blas}.mrc"
+            result = subprocess.run(
+                [sys.executable, "-m", "mrcal.cli", "train", "--data", str(dataset),
+                 "--loss", loss, "--epochs", "3", "--out", str(out)],
+                capture_output=True, text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas),
+            )
+            assert result.returncode == 0, result.stderr
+            sidecar = out.with_suffix(".mrc.json")
+            digests.add(hashlib.sha256(out.read_bytes() + sidecar.read_bytes()).hexdigest())
+        assert len(digests) == 1
 
     def test_thread_cap_env(self, tmp_path):
         for threads in ("1", "4"):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from mrcal.core import BinaryMask, RaterStack
 from mrcal.metrics import (
     CalibrationBins,
+    _dense_ranks,
     EvalConfig,
     MetricReport,
     SingleClassReference,
@@ -289,6 +290,20 @@ def _reference_bootstrap(preds, stacks, cfg) -> MetricReport:
         ece_mode=cfg.ece_mode,
         seed=cfg.seed,
     )
+
+
+class TestDenseRanks:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_unique(self, data):
+        levels = data.draw(st.sampled_from((1, 2, 7, 1000)))  # few levels: many ties
+        n = data.draw(st.integers(0, 300))
+        values = data.draw(arrays(np.int64, n, elements=st.integers(-levels, levels))) / levels
+        values[data.draw(arrays(np.bool_, n))] *= -1.0  # -0.0 and 0.0 must share a rank
+        inverse = _dense_ranks(values)
+        _, ref_inverse, ref_counts = np.unique(values, return_inverse=True, return_counts=True)
+        np.testing.assert_array_equal(inverse, ref_inverse)
+        np.testing.assert_array_equal(np.bincount(inverse), ref_counts)
 
 
 class TestBootstrapOneSort:

@@ -1,9 +1,14 @@
+import os
+import signal
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from mrcal.core import Grid2D, RaterStack, Sample
 from mrcal.fusion import FusionConfig
-from mrcal import model
+from mrcal import fusion, model
 from mrcal.model import (
     BAND_PIXELS,
     ArchitectureMismatch,
@@ -297,6 +302,53 @@ class TestBandedInference:
         np.testing.assert_array_equal(_forward_logits(net, image)[0], ref)
 
 
+class TestBandThreads:
+    """Bands write disjoint rows of the logits, so the worker count cannot
+    change them."""
+
+    @pytest.mark.parametrize("h, w", [(256, 256), (130, 257), (3, 4100)])
+    def test_logits_independent_of_thread_count(self, monkeypatch, h, w):
+        rng = np.random.default_rng(h + w)
+        net = TinyNet.init(4, seed=w)
+        for name in ("b1", "b2", "b3"):
+            net.params[name] = rng.normal(scale=0.5, size=net.params[name].shape)
+        image = rng.random((h, w))
+        logits = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more worker switches: a shared write would show
+        try:
+            for threads in ("1", "4"):
+                monkeypatch.setenv("MRCAL_THREADS", threads)
+                logits[threads], _ = _forward_logits(net, image, keep_cache=False)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(logits["1"], logits["4"])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_bands(self, monkeypatch):
+        # the child inherits the parent's pool object but not its threads
+        monkeypatch.setenv("MRCAL_THREADS", "2")
+        net = TinyNet.init(4, seed=1)
+        image = np.random.default_rng(1).random((128, 128))
+        parent, _ = _forward_logits(net, image, keep_cache=False)
+        pid = os.fork()
+        if pid == 0:
+            child, _ = _forward_logits(net, image, keep_cache=False)
+            os._exit(0 if np.array_equal(parent, child) else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child hung in _forward_logits")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_zero_means_one_thread_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setenv("MRCAL_THREADS", "0")
+        assert model.thread_cap() == len(os.sched_getaffinity(0))
+
+
 class TestTraining:
     def test_empty_split(self):
         with pytest.raises(EmptyTrainSplit):
@@ -357,6 +409,27 @@ class TestTraining:
         perf = ckpt.extra["staple_rater_performance"]
         assert len(perf["sensitivity"]) == 3
         assert len(perf["specificity"]) == 3
+
+    def test_staple_runs_once_per_sample(self, monkeypatch):
+        samples = make_samples(4, np.random.default_rng(13))
+        calls = []
+        real = fusion.fuse_staple
+
+        def counting(stack, cfg, *args, **kwargs):
+            calls.append(stack)
+            return real(stack, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "fuse_staple", counting)
+        monkeypatch.setattr(model, "fuse_staple", counting)
+        cfg = TrainConfig(loss="bce_vs_fused", fusion=FusionConfig(method="staple"), epochs=2)
+        ckpt = train(samples, cfg)
+        assert len(calls) == len(samples)
+        # the recorded estimate is the one the first sample's target came from
+        _, perf = real(samples[0].annotations, cfg.fusion)
+        assert ckpt.extra["staple_rater_performance"] == {
+            "sensitivity": list(perf.sensitivity),
+            "specificity": list(perf.specificity),
+        }
 
     def test_defaults(self):
         cfg = TrainConfig()
