@@ -9,8 +9,8 @@ its config dataclass from the arguments; `main` maps their ValueError to
 exit 2. An output path that cannot be written exits 1.
 
 MRCAL_THREADS sizes the worker pool that runs inference bands (0 or unset
-= one thread per usable CPU, see `model.thread_cap`); each band writes its
-own rows, so results never depend on it.
+= the usable CPUs divided by the BLAS thread count, see `model.thread_cap`);
+each band writes its own rows, so results never depend on it.
 """
 
 from __future__ import annotations

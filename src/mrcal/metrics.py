@@ -191,12 +191,14 @@ def _dense_ranks(values: np.ndarray) -> np.ndarray:
 
     One argsort; a value starts a new rank where it differs from its sorted
     predecessor. Equal values, -0.0 and 0.0 included, are adjacent in any
-    sort order, so the result does not depend on how ties are ordered.
+    sort order, so the result does not depend on how ties are ordered. NaNs
+    sort last and, as in np.unique, share one rank.
     """
     order = np.argsort(values)
     ordered = values[order]
     starts = np.ones(values.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts[np.searchsorted(ordered, np.nan) + 1 :] = False
     del ordered  # lowers the peak: the scatter below holds two index arrays
     ranks = np.cumsum(starts, dtype=np.intp)
     ranks -= 1

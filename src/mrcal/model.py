@@ -35,7 +35,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -200,10 +200,29 @@ def _pixel_major_like(x: np.ndarray) -> np.ndarray:
     return np.empty((h, wd, c)).transpose(2, 0, 1)
 
 
+# BLAS libraries size their own thread pools from these, in this order; with
+# none set they use every CPU
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(cpus: int) -> int:
+    for var in BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ[var])
+        except (KeyError, ValueError):
+            continue
+        if n > 0:
+            return n
+    return cpus
+
+
 def thread_cap() -> int:
     """Worker threads for inference bands: MRCAL_THREADS, where 0 or unset
-    means one per CPU this process may run on. Raises ValueError naming the
-    variable and its value when it is not a non-negative integer."""
+    means the CPUs this process may run on divided by the BLAS thread count,
+    at least 1. Each band's GEMMs run on BLAS's threads, so with BLAS unpinned
+    this is one worker; band workers on top of a multi-threaded BLAS measured
+    slower than one. Raises ValueError naming the variable and its value when
+    it is not a non-negative integer."""
     raw = os.environ.get("MRCAL_THREADS", "0")
     try:
         cap = int(raw)
@@ -211,20 +230,11 @@ def thread_cap() -> int:
         cap = -1
     if cap < 0:
         raise ValueError(f"MRCAL_THREADS must be a non-negative integer, got {raw!r}")
-    return cap or len(os.sched_getaffinity(0))
-
-
-@cache
-def _band_pool(workers: int):
-    """The process's inference worker pool of `workers` threads, made on first use."""
-    # imported here: commands that never run threaded inference skip its import cost
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mrcal-band")
-
-
-# a forked child inherits the pools but none of their threads
-os.register_at_fork(after_in_child=_band_pool.cache_clear)
+    if cap:
+        return cap
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, cpus // _blas_threads(cpus))
 
 
 def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int, logits: np.ndarray):
@@ -271,13 +281,16 @@ def _forward_logits(net: TinyNet, image: np.ndarray, keep_cache: bool = True):
     def run(band):
         _band_logits(net, padded, *band, logits)  # its caches die here, not with the map
 
-    workers = thread_cap()
-    if workers == 1 or len(bands) == 1:
+    workers = min(thread_cap(), len(bands))
+    if workers == 1:
         for band in bands:
             run(band)
     else:
-        # list() waits for every band and re-raises a band's exception
-        list(_band_pool(workers).map(run, bands))
+        # imported here: commands that never run threaded inference skip its import cost
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers, thread_name_prefix="mrcal-band") as pool:
+            list(pool.map(run, bands))  # waits for every band, re-raises a band's exception
     return logits, None
 
 

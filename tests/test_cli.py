@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -596,6 +597,18 @@ class TestEntryPoint:
             sidecar = out.with_suffix(".mrc.json")
             digests.add(hashlib.sha256(out.read_bytes() + sidecar.read_bytes()).hexdigest())
         assert len(digests) == 1
+
+    def test_runs_without_sched_getaffinity(self, monkeypatch, dataset, tmp_path):
+        # macOS and Windows have no os.sched_getaffinity; 0 = auto must still work
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setenv("MRCAL_THREADS", "0")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # auto = one worker per CPU
+        ckpt, data = tmp_path / "m.mrc", tmp_path / "big"
+        assert main(["synth", "--out", str(data), "--n", "6", "--size", "128", "--seed", "4"]) == 0
+        assert main(["train", "--data", str(dataset), "--loss", "rps", "--epochs", "1",
+                     "--out", str(ckpt)]) == 0
+        assert main(["eval", "--model", str(ckpt), "--data", str(data),
+                     "--report", str(tmp_path / "r.json")]) == 0
 
     def test_thread_cap_env(self, tmp_path):
         for threads in ("1", "4"):

@@ -300,6 +300,8 @@ class TestDenseRanks:
         n = data.draw(st.integers(0, 300))
         values = data.draw(arrays(np.int64, n, elements=st.integers(-levels, levels))) / levels
         values[data.draw(arrays(np.bool_, n))] *= -1.0  # -0.0 and 0.0 must share a rank
+        if data.draw(st.booleans()):
+            values[data.draw(arrays(np.bool_, n))] = np.nan  # NaNs share one rank too
         inverse = _dense_ranks(values)
         _, ref_inverse, ref_counts = np.unique(values, return_inverse=True, return_counts=True)
         np.testing.assert_array_equal(inverse, ref_inverse)

@@ -1,7 +1,5 @@
 import os
-import signal
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -324,29 +322,25 @@ class TestBandThreads:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(logits["1"], logits["4"])
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_runs_bands(self, monkeypatch):
-        # the child inherits the parent's pool object but not its threads
-        monkeypatch.setenv("MRCAL_THREADS", "2")
-        net = TinyNet.init(4, seed=1)
-        image = np.random.default_rng(1).random((128, 128))
-        parent, _ = _forward_logits(net, image, keep_cache=False)
-        pid = os.fork()
-        if pid == 0:
-            child, _ = _forward_logits(net, image, keep_cache=False)
-            os._exit(0 if np.array_equal(parent, child) else 1)
-        deadline = time.monotonic() + 60
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("forked child hung in _forward_logits")
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-
-    def test_zero_means_one_thread_per_usable_cpu(self, monkeypatch):
+    def test_auto_divides_usable_cpus_by_blas_threads(self, monkeypatch):
         monkeypatch.setenv("MRCAL_THREADS", "0")
-        assert model.thread_cap() == len(os.sched_getaffinity(0))
+        for var in model.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert model.thread_cap() == 1  # unpinned BLAS uses all 8 CPUs itself
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert model.thread_cap() == 8
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # read before OMP_NUM_THREADS
+        assert model.thread_cap() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "16")
+        assert model.thread_cap() == 1
+        # macOS and Windows have no sched_getaffinity: the CPU count stands in
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert model.thread_cap() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert model.thread_cap() == 1
 
 
 class TestTraining:
