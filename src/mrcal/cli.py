@@ -230,12 +230,15 @@ def cmd_eval(args, cfg: EvalConfig) -> int:
         "split": args.split,
         "model": str(args.model),
     }
+    writers = {}
+    if args.reliability:
+        writers[args.reliability] = lambda tmp: reliability_csv(report.bins, tmp)
+        report.bins_csv_path = str(args.reliability)
+    if args.report:
+        text = report.to_json()
+        writers[args.report] = lambda tmp: tmp.write_text(text)
     try:
-        if args.reliability:
-            reliability_csv(report.bins, args.reliability)
-            report.bins_csv_path = str(args.reliability)
-        if args.report:
-            Path(args.report).write_text(report.to_json())
+        core.write_together(writers)
     except OSError as exc:
         _diag(f"cannot write eval output: {exc}")
         return EXIT_IO

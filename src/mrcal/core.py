@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -283,6 +284,32 @@ def write_container(dtype: int, dims, payload, path) -> None:
     header = MAGIC + struct.pack("<BBH", dtype, len(dims), 0)
     header += struct.pack(f"<{len(dims)}I", *dims)
     Path(path).write_bytes(header + arr.tobytes())
+
+
+def write_together(writers) -> None:
+    """Write several files so that either all of them or none change.
+
+    `writers` maps each target path to a function that writes a given path.
+    Each one writes a temporary file beside its target; only when every
+    write has succeeded are the temporaries renamed over their targets. A
+    failed write leaves no partial or temporary file behind and every
+    earlier target as it was.
+    """
+    staged = {Path(p): (Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp"), write)
+              for p, write in writers.items()}
+    try:
+        for path, (tmp, write) in staged.items():
+            try:
+                write(tmp)
+            except OSError as exc:
+                if exc.filename is not None:
+                    exc.filename = str(path)  # name the target, not its temporary
+                raise
+        for path, (tmp, _) in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged.values():
+            tmp.unlink(missing_ok=True)
 
 
 def read_container(path):

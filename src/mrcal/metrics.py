@@ -8,8 +8,10 @@ frequency. With K=1 this reduces exactly to frequency-mode ECE.
 
 AUC is the Mann-Whitney rank statistic against the majority vote of the
 rater stack (ties to foreground). The bootstrap protocol resamples test
-images with replacement; it sorts the pooled scores once and ranks and bins
-every replicate from that one pass.
+images with replacement. The pooled scores are sorted once; a replicate's
+AUC is then one cumulative sum over that sort, weighted by how often each
+image was drawn, and its MR-ECE merges per-image bins. `auc()` runs the same
+kernel on one image.
 """
 
 from __future__ import annotations
@@ -184,50 +186,65 @@ def ece_single(pred, mask: BinaryMask, cfg: EvalConfig) -> float:
     return bins.ece_value()
 
 
-def _dense_ranks(values: np.ndarray) -> np.ndarray:
-    """Index of each value of the 1-D `values` among the sorted distinct
-    values: np.unique's return_inverse, so np.bincount of it is
-    return_counts.
+class _MannWhitney:
+    """Mann-Whitney AUC of any multiset of a fixed list of images.
 
-    One argsort; a value starts a new rank where it differs from its sorted
-    predecessor. Equal values, -0.0 and 0.0 included, are adjacent in any
-    sort order, so the result does not depend on how ties are ordered. NaNs
-    sort last and, as in np.unique, share one rank.
+    Built from one argsort of the pooled scores. Each sorted position keeps
+    only its image index, and each positive keeps its image and the bounds
+    [lo, hi) of its tie group in the sorted order, found by searchsorted, so
+    -0.0 and 0.0 tie and all NaNs (sorted last) tie, as in np.unique. The
+    scores and the sort are freed before any replicate runs.
+
+    For image multiplicities m, position p has weight w_p = m[image of p]
+    and cum is the exclusive cumsum of w, so a tie group's midrank is
+    (cum[lo] + cum[hi] + 1) / 2. With n_pos = sum of w over positives,
+    2U = sum over positives of w * (cum[lo] + cum[hi] + 1) - n_pos * (n_pos + 1)
+       = sum over positives of w * (cum[lo] + cum[hi]) - n_pos**2,
+    in exact integers: twice the Mann-Whitney U of the multiset's concatenated
+    scores, so every AUC is the same float as ranking the multiset afresh.
+    The int64 sums hold while a multiset has fewer than about 3e9 scores.
     """
-    order = np.argsort(values)
-    ordered = values[order]
-    starts = np.ones(values.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    starts[np.searchsorted(ordered, np.nan) + 1 :] = False
-    del ordered  # lowers the peak: the scatter below holds two index arrays
-    ranks = np.cumsum(starts, dtype=np.intp)
-    ranks -= 1
-    inverse = np.empty_like(ranks)
-    inverse[order] = ranks
-    return inverse
 
+    def __init__(self, scores, labels):
+        n = len(scores)
+        self.sizes = np.array([s.size for s in scores], dtype=np.int64)
+        self.pos_counts = np.array([y.sum() for y in labels], dtype=np.int64)
+        values = np.concatenate([s.ravel() for s in scores])
+        order = np.argsort(values)
+        ordered = values[order]
+        del values
+        self.image = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), self.sizes)[order]
+        pos = np.flatnonzero(np.concatenate([y.ravel() for y in labels])[order])
+        del order
+        self.pos_image = self.image[pos]
+        tied = ordered[pos]
+        del pos
+        self.lo = np.searchsorted(ordered, tied, "left")
+        self.hi = np.searchsorted(ordered, tied, "right")
+        del ordered, tied
+        self.cum = None
 
-def _rank_auc(counts: np.ndarray, positives: np.ndarray) -> float | None:
-    """Mann-Whitney AUC with ties counted 0.5; None if one class.
-
-    `counts[j]` is how many scores equal the j-th smallest distinct value and
-    `positives` holds that index j for every positive, so each value's
-    1-based midrank is cumsum(counts) - (counts - 1) / 2.
-    """
-    n_pos = positives.size
-    n_neg = int(counts.sum()) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    avg_rank = np.cumsum(counts) - (counts - 1) / 2.0
-    u = avg_rank[positives].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    def auc(self, m: np.ndarray) -> float | None:
+        """AUC of the images drawn m[i] times each; None if one class."""
+        n_pos = int(m @ self.pos_counts)
+        n_neg = int(m @ self.sizes) - n_pos
+        if n_pos == 0 or n_neg == 0:
+            return None
+        if self.cum is None:
+            self.cum = np.zeros(self.image.size + 1, dtype=np.int64)
+        cum = self.cum
+        np.take(m, self.image, out=cum[1:], mode="clip")
+        np.cumsum(cum[1:], out=cum[1:])
+        w = np.take(m, self.pos_image)
+        twice_u = int(w @ np.take(cum, self.lo)) + int(w @ np.take(cum, self.hi)) - n_pos * n_pos
+        return float(twice_u / 2 / (n_pos * n_neg))
 
 
 def auc(pred, reference: BinaryMask) -> float:
     """Mann-Whitney AUC: P(score of random positive > random negative),
     ties counted 0.5."""
-    inverse = _dense_ranks(_as_pred_array(pred).ravel())
-    value = _rank_auc(np.bincount(inverse), inverse[reference.data.ravel().astype(bool)])
+    kernel = _MannWhitney([_as_pred_array(pred)], [reference.data.astype(bool)])
+    value = kernel.auc(np.ones(1, dtype=np.int64))
     if value is None:
         raise SingleClassReference("reference must contain both classes")
     return value
@@ -281,34 +298,29 @@ def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
     """Point estimates plus image-level bootstrap mean/std of MR-ECE and AUC.
 
     Each replicate draws ceil(frac * n) images with replacement; stddev is
-    the population form (divide by N). The pooled scores are sorted once:
-    a replicate's AUC counts its images' distinct-value indices, and its
-    MR-ECE merges their per-image bins in draw order, so every replicate
-    equals a fresh evaluation of its images, bit for bit. The point
-    estimate's bins are returned in `MetricReport.bins`.
+    the population form (divide by N). The pooled scores are sorted once
+    (`_MannWhitney`): a replicate's AUC is one O(N) pass that weights every
+    sorted score by its image's draw count, and its MR-ECE merges the
+    per-image bins in draw order, so every replicate equals a fresh
+    evaluation of its images, bit for bit. The point estimate's bins are
+    returned in `MetricReport.bins`.
     """
     if not stacks:
         raise EmptyTestSet("test set is empty")
     preds = [_as_pred_array(p) for p in preds]
     image_bins = _image_bins(preds, stacks, cfg)
-    inverse = _dense_ranks(np.concatenate([p.ravel() for p in preds]))
-    inverses = np.split(inverse, np.cumsum([p.size for p in preds])[:-1])
-    positives = [inv[s.majority().ravel()] for inv, s in zip(inverses, stacks)]
-
-    def evaluate(idx):
-        counts = np.bincount(np.concatenate([inverses[i] for i in idx]))
-        value = _rank_auc(counts, np.concatenate([positives[i] for i in idx]))
-        return _merged(image_bins, idx, cfg.num_bins), value
+    kernel = _MannWhitney(preds, [s.majority() for s in stacks])
 
     n = len(stacks)
-    point_bins, point_auc = evaluate(range(n))
+    point_bins = _merged(image_bins, range(n), cfg.num_bins)
+    point_auc = kernel.auc(np.ones(n, dtype=np.int64))
     draw = int(np.ceil(cfg.bootstrap_frac * n))
     rng = np.random.default_rng(cfg.seed)
     eces, aucs = [], []
     for _ in range(cfg.bootstrap_n):
-        bins, a = evaluate(rng.integers(0, n, size=draw))
-        eces.append(bins.ece_value())
-        aucs.append(a)
+        idx = rng.integers(0, n, size=draw)
+        eces.append(_merged(image_bins, idx, cfg.num_bins).ece_value())
+        aucs.append(kernel.auc(np.bincount(idx, minlength=n)))
 
     eces = np.array(eces)
     have_auc = point_auc is not None and all(a is not None for a in aucs)

@@ -31,6 +31,7 @@ of earlier versions wrote.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -47,6 +48,7 @@ from .core import (
     Grid2D,
     read_container,
     write_container,
+    write_together,
 )
 from .fusion import DegenerateStack, FusionConfig, fuse, fuse_staple
 from .ordinal import LossConfig, OrdinalProbMap, aggregate_foreground, hybrid_loss, orc_encode
@@ -365,11 +367,14 @@ class Checkpoint:
         """MRC1 f32 1-D parameter vector plus a .json sidecar.
 
         Both files are written to temporary files beside their targets and
-        then renamed over them, so a failed save leaves no partial file and
-        keeps an earlier checkpoint at `path` loadable.
+        then renamed over them (`write_together`), so a failed save leaves no
+        partial file and keeps an earlier checkpoint at `path` loadable. The
+        sidecar records the sha256 of the parameter payload, so `load` rejects
+        a parameter file paired with another checkpoint's sidecar, which a
+        crash between the two renames can leave.
         """
         path = Path(path)
-        flat = np.asarray(self.flat_params, dtype=np.float32)
+        flat = np.asarray(self.flat_params, dtype="<f4")
         sidecar = {
             "architecture": {
                 "hidden_channels": self.hidden_channels,
@@ -379,25 +384,20 @@ class Checkpoint:
             },
             "config": self.config,
             "loss_trace": self.loss_trace,
+            "params_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
             "seed": self.seed,
             "extra": self.extra,
         }
         text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-        sidecar_path = path.with_suffix(path.suffix + ".json")
-        tmp_params, tmp_sidecar = (
-            p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)
-        )
-        try:
-            write_container(DTYPE_F32, (flat.size,), flat, tmp_params)
-            tmp_sidecar.write_text(text)
-            os.replace(tmp_params, path)
-            os.replace(tmp_sidecar, sidecar_path)
-        finally:
-            tmp_params.unlink(missing_ok=True)
-            tmp_sidecar.unlink(missing_ok=True)
+        write_together({
+            path: lambda tmp: write_container(DTYPE_F32, (flat.size,), flat, tmp),
+            path.with_suffix(path.suffix + ".json"): lambda tmp: tmp.write_text(text),
+        })
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read a checkpoint. A sidecar without `params_sha256` (written before
+        the field existed) loads unchecked."""
         path = Path(path)
         _, dims, flat = read_container(path)
         sidecar_path = path.with_suffix(path.suffix + ".json")
@@ -405,6 +405,7 @@ class Checkpoint:
             sidecar = json.loads(sidecar_path.read_text())
             arch = sidecar["architecture"]
             num_params = int(arch["num_params"])
+            digest = sidecar.get("params_sha256")
             checkpoint = cls(
                 hidden_channels=int(arch["hidden_channels"]),
                 out_channels=int(arch["out_channels"]),
@@ -420,6 +421,10 @@ class Checkpoint:
         if int(np.prod(dims)) != num_params:
             raise ArchitectureMismatch(
                 f"{path}: {int(np.prod(dims))} params on disk, descriptor says {num_params}"
+            )
+        if digest is not None and digest != hashlib.sha256(flat.tobytes()).hexdigest():
+            raise ArchitectureMismatch(
+                f"{path}: parameters do not match the sha256 in {sidecar_path.name}"
             )
         return checkpoint
 

@@ -187,6 +187,18 @@ class TestTrainEval:
         assert stdout == ""
         assert str(out) in err and err.count("\n") == 1
 
+    def test_failed_eval_output_leaves_no_partial_output(self, capsys, dataset, tmp_path):
+        csv, report = tmp_path / "ok.csv", tmp_path / "missing" / "r.json"
+        code, stdout, err = run_cli(
+            capsys,
+            "eval", "--model", "oracle", "--data", str(dataset),
+            "--reliability", str(csv), "--report", str(report),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert str(report) in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_model_is_io_error(self, capsys, dataset, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -211,6 +223,23 @@ class TestTrainEval:
         assert out == ""
         assert err.startswith("cannot load model/predictions:")
         assert err.count("\n") == 1
+
+    def test_mismatched_checkpoint_pair_is_io_error(self, capsys, dataset, tmp_path):
+        for seed in ("0", "1"):
+            run_cli(
+                capsys,
+                "train", "--data", str(dataset), "--loss", "rps", "--epochs", "1",
+                "--seed", seed, "--out", str(tmp_path / f"model{seed}.mrc"),
+            )
+        # the parameters of one checkpoint beside the sidecar of the other
+        os.replace(tmp_path / "model1.mrc", tmp_path / "model0.mrc")
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--model", str(tmp_path / "model0.mrc"), "--data", str(dataset),
+        )
+        assert code == 1
+        assert out == ""
+        assert "sha256" in err and err.count("\n") == 1
 
     def test_nan_pixel_is_numeric_error(self, capsys, dataset, tmp_path):
         ckpt = tmp_path / "model.mrc"

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from mrcal.core import BinaryMask, RaterStack
 from mrcal.metrics import (
     CalibrationBins,
-    _dense_ranks,
     EvalConfig,
     MetricReport,
     SingleClassReference,
@@ -244,6 +243,18 @@ class TestBootstrap:
         assert abs(rep.auc_boot_mean - rep.auc) < 0.01
 
 
+def _midrank_auc(scores, labels) -> float | None:
+    """Mann-Whitney AUC from np.unique midranks; None if one class."""
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 def _reference_bootstrap(preds, stacks, cfg) -> MetricReport:
     """bootstrap_eval as a fresh evaluation of every replicate: per-image bin
     accumulation, and midranks from one np.unique sort of the replicate's
@@ -258,14 +269,7 @@ def _reference_bootstrap(preds, stacks, cfg) -> MetricReport:
     def rank_auc(idx):
         scores = np.concatenate([preds[i].ravel() for i in idx])
         labels = np.concatenate([stacks[i].majority().ravel() for i in idx])
-        n_pos = int(labels.sum())
-        n_neg = labels.size - n_pos
-        if n_pos == 0 or n_neg == 0:
-            return None
-        _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-        ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-        u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-        return float(u / (n_pos * n_neg))
+        return _midrank_auc(scores, labels)
 
     n = len(stacks)
     rng = np.random.default_rng(cfg.seed)
@@ -292,20 +296,22 @@ def _reference_bootstrap(preds, stacks, cfg) -> MetricReport:
     )
 
 
-class TestDenseRanks:
+class TestAucKernel:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_equals_unique(self, data):
+    def test_equals_unique_midranks(self, data):
         levels = data.draw(st.sampled_from((1, 2, 7, 1000)))  # few levels: many ties
-        n = data.draw(st.integers(0, 300))
+        n = data.draw(st.integers(2, 300))
         values = data.draw(arrays(np.int64, n, elements=st.integers(-levels, levels))) / levels
-        values[data.draw(arrays(np.bool_, n))] *= -1.0  # -0.0 and 0.0 must share a rank
+        values[data.draw(arrays(np.bool_, n))] *= -1.0  # -0.0 and 0.0 must tie
         if data.draw(st.booleans()):
-            values[data.draw(arrays(np.bool_, n))] = np.nan  # NaNs share one rank too
-        inverse = _dense_ranks(values)
-        _, ref_inverse, ref_counts = np.unique(values, return_inverse=True, return_counts=True)
-        np.testing.assert_array_equal(inverse, ref_inverse)
-        np.testing.assert_array_equal(np.bincount(inverse), ref_counts)
+            values[data.draw(arrays(np.bool_, n))] = np.nan  # NaNs tie with each other
+        labels = data.draw(arrays(np.bool_, n))
+        pos, neg = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        labels[pos], labels[neg] = True, False
+        expected = _midrank_auc(values, labels)
+        got = auc(values[None], BinaryMask.from_array(labels[None].astype(np.uint8)))
+        assert got == expected
 
 
 class TestBootstrapOneSort:
@@ -341,6 +347,18 @@ class TestBootstrapOneSort:
         np.testing.assert_array_equal(got.bins.counts, bins.counts)
         np.testing.assert_array_equal(got.bins.conf_sums, bins.conf_sums)
         np.testing.assert_array_equal(got.bins.acc_sums, bins.acc_sums)
+
+    def test_tie_heavy_hundred_replicates(self):
+        # 5 score levels over 12 images of mixed sizes: every tie group spans
+        # images, so each replicate reweights the groups its draws hit
+        rng = np.random.default_rng(11)
+        shapes = [(16, 16), (9, 20), (1, 7)] * 4
+        preds = [rng.integers(0, 5, size=s) / 4 for s in shapes]
+        stacks = [stack_from(rng.integers(0, 2, size=(3, *s))) for s in shapes]
+        cfg = EvalConfig(bootstrap_n=100, seed=4)
+        got = bootstrap_eval(preds, stacks, cfg)
+        assert got.auc_boot_std > 0.0
+        assert got.to_json() == _reference_bootstrap(preds, stacks, cfg).to_json()
 
     def test_single_class_replicate_has_no_auc(self):
         preds = [np.array([[0.2, 0.9]]), np.array([[0.4, 0.1]])]

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 
@@ -464,6 +465,29 @@ class TestCheckpoint:
         sidecar.write_text(text)
         with pytest.raises(ArchitectureMismatch):
             Checkpoint.load(path)
+
+    def test_parameters_from_another_checkpoint_rejected(self, tmp_path):
+        rng = np.random.default_rng(18)
+        samples = make_samples(2, rng)
+        first = train(samples, TrainConfig(loss="hybrid_rps", epochs=1))
+        second = train(samples, TrainConfig(loss="hybrid_rps", epochs=1, seed=1))
+        first.save(tmp_path / "first.mrc")
+        second.save(tmp_path / "second.mrc")
+        # a crash between save's two renames pairs new parameters with the old sidecar
+        os.replace(tmp_path / "second.mrc", tmp_path / "first.mrc")
+        with pytest.raises(ArchitectureMismatch, match="sha256"):
+            Checkpoint.load(tmp_path / "first.mrc")
+
+    def test_sidecar_without_digest_loads(self, tmp_path):
+        rng = np.random.default_rng(19)
+        ckpt = train(make_samples(2, rng), TrainConfig(loss="hybrid_rps", epochs=1))
+        path = tmp_path / "model.mrc"
+        ckpt.save(path)
+        sidecar_path = path.with_suffix(".mrc.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        del sidecar["params_sha256"]
+        sidecar_path.write_text(json.dumps(sidecar))
+        np.testing.assert_array_equal(Checkpoint.load(path).flat_params, ckpt.flat_params)
 
     def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(16)

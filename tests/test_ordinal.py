@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrcal.core import Grid2D, RaterStack
 from mrcal.ordinal import (
+    PROB_CLAMP,
     LossConfig,
     OrcMap,
     OrdinalProbMap,
@@ -197,6 +201,31 @@ class TestHybrid:
         _, grad = hybrid_loss(probs, target, cfg)
         num = _fd_logit_grad(z, target, cfg)
         denom = np.maximum(np.abs(num), 1e-8)
+        assert (np.abs(grad - num) / denom).max() < 1e-4
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_finite_difference_property(self, data):
+        k = data.draw(st.integers(1, 7))
+        h, w = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        # |z| up to 50 saturates the softmax, so the PROB_CLAMP branch runs
+        scale = data.draw(st.sampled_from((1.0, 50.0)))
+        z = data.draw(arrays(np.float64, (k + 1, h, w), elements=st.floats(-scale, scale)))
+        target = orc(data.draw(arrays(np.int64, (h, w), elements=st.integers(0, k))), k)
+        cfg = LossConfig(alpha=data.draw(st.floats(0.0, 1.0)))
+        probs = _softmax_probs(z)
+        t = majority_level(k)
+        p_hat, rest = probs.levels[t:].sum(axis=0), probs.levels[:t].sum(axis=0)
+        # The clamp is a kink: a central difference straddling it is no
+        # derivative. Below the upper clamp, log(1 - p_hat) has an absolute
+        # rounding error of about eps / rest, which the difference quotient
+        # divides by h: rest >= 1e-5 keeps that under 1e-6.
+        assume(not np.isclose(p_hat, PROB_CLAMP, rtol=1e-3).any())
+        assume(not ((rest > PROB_CLAMP * (1.0 - 1e-3)) & (rest < 1e-5)).any())
+        _, grad = hybrid_loss(probs, target, cfg)
+        num = _fd_logit_grad(z, target, cfg)
+        # relative error, or absolute error 1e-6 below the floor
+        denom = np.maximum(np.abs(num), 1e-2)
         assert (np.abs(grad - num) / denom).max() < 1e-4
 
     def test_gradient_rows_sum_to_zero(self):
