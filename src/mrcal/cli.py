@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,39 +84,39 @@ def cmd_fuse(args, cfg: FusionConfig) -> int:
         _diag(f"cannot load dataset: {exc}")
         return EXIT_IO
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    step = 0
-    for split in core.SPLITS:
-        for sample in dataset[split]:
-            perf = None
-            try:
-                if args.method == "staple":
-                    fused, perf = fuse_staple(sample.annotations, cfg)
-                else:
-                    fused = fuse(sample.annotations, cfg, step=step)
-            except DegenerateStack as exc:
-                _diag(f"cannot fuse sample {sample.id!r} with {args.method}: {exc}")
-                return EXIT_IO
-            step += 1
-            path = out_dir / f"{sample.id}_{args.method}.mrc"
-            if isinstance(fused, SoftLabelMap):
-                core.write_container(core.DTYPE_F32, fused.data.shape, fused.data, path)
-            else:
-                core.write_container(core.DTYPE_U8, fused.data.shape, fused.data, path)
-            sidecar = {
-                "method": args.method,
-                "parameters": {"sigma": cfg.sigma, "seed": cfg.rng_seed},
-            }
-            if perf is not None:
-                sidecar["rater_performance"] = {
-                    "sensitivity": list(perf.sensitivity),
-                    "specificity": list(perf.specificity),
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for split in core.SPLITS:
+            for sample in dataset[split]:
+                perf = None
+                try:
+                    if args.method == "staple":
+                        fused, perf = fuse_staple(sample.annotations, cfg)
+                    else:
+                        fused = fuse(sample.annotations, cfg, step=len(written))
+                except DegenerateStack as exc:
+                    _diag(f"cannot fuse sample {sample.id!r} with {args.method}: {exc}")
+                    return EXIT_IO
+                path = out_dir / f"{sample.id}_{args.method}.mrc"
+                dtype = core.DTYPE_F32 if isinstance(fused, SoftLabelMap) else core.DTYPE_U8
+                core.write_container(dtype, fused.data.shape, fused.data, path)
+                sidecar = {
+                    "method": args.method,
+                    "parameters": {"sigma": cfg.sigma, "seed": cfg.rng_seed},
                 }
-            path.with_suffix(".mrc.json").write_text(
-                json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-            )
-            written.append(str(path))
+                if perf is not None:
+                    sidecar["rater_performance"] = {
+                        "sensitivity": list(perf.sensitivity),
+                        "specificity": list(perf.specificity),
+                    }
+                path.with_suffix(".mrc.json").write_text(
+                    json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+                )
+                written.append(str(path))
+    except OSError as exc:
+        _diag(f"cannot write fused output: {exc}")
+        return EXIT_IO
     _emit({"method": args.method, "written": len(written), "out": str(out_dir)})
     return EXIT_OK
 
@@ -143,7 +144,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args, cfg: TrainConfig) -> int:
     try:
-        dataset = load_dataset(Path(args.data) / "manifest.json")
+        dataset = load_dataset(Path(args.data) / "manifest.json", ("train",))
     except DatasetError as exc:
         _diag(f"cannot load dataset: {exc}")
         return EXIT_IO
@@ -201,7 +202,7 @@ def _eval_config(args) -> EvalConfig:
 def cmd_eval(args, cfg: EvalConfig) -> int:
     data_dir = Path(args.data)
     try:
-        dataset = load_dataset(data_dir / "manifest.json")
+        dataset = load_dataset(data_dir / "manifest.json", (args.split,))
     except DatasetError as exc:
         _diag(f"cannot load dataset: {exc}")
         return EXIT_IO
@@ -214,14 +215,16 @@ def cmd_eval(args, cfg: EvalConfig) -> int:
             preds = _oracle_predictions(data_dir, samples)
         else:
             preds = _model_predictions(args.model, samples)
-    except (
-        OSError, KeyError, json.JSONDecodeError, core.ContainerError, model.ArchitectureMismatch
-    ) as exc:
-        _diag(f"cannot load model/predictions: {exc}")
-        return EXIT_IO
     except core.NonFiniteValues as exc:
         _diag(f"non-finite predictions: {exc}")
         return EXIT_NUMERIC
+    except (
+        # ValueError and TypeError: a sidecar or synth_meta.json that is not
+        # UTF-8 JSON, or whose config SynthConfig rejects
+        OSError, KeyError, TypeError, ValueError, core.ContainerError, model.ArchitectureMismatch
+    ) as exc:
+        _diag(f"cannot load model/predictions: {exc}")
+        return EXIT_IO
 
     stacks = [s.annotations for s in samples]
     report = bootstrap_eval(preds, stacks, cfg)
@@ -246,24 +249,40 @@ def cmd_eval(args, cfg: EvalConfig) -> int:
     return EXIT_UNDEFINED if report.auc is None else EXIT_OK
 
 
+MAX_GRID_VALUES = 1000
+
+
 def _parse_grid(spec: str) -> list[float]:
+    """The values of `start:stop:step` (inclusive) or of one `value`.
+
+    Every number must be finite and the grid must hold 1 to MAX_GRID_VALUES
+    values, so the loop below always ends.
+    """
     parts = spec.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
+        numbers = [float(p) for p in parts]
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValueError
+        if len(numbers) == 1:
+            return numbers
+        if len(numbers) == 3:
+            start, stop, step = numbers
             if step <= 0 or stop < start:
                 raise ValueError
             values = []
             v = start
             while v <= stop + 1e-9:
+                if len(values) == MAX_GRID_VALUES:
+                    raise ValueError
                 values.append(round(v, 10))
                 v += step
             return values
     except ValueError:
         pass
-    raise ValueError(f"malformed grid {spec!r} (expected start:stop:step or value)")
+    raise ValueError(
+        f"malformed grid {spec!r} (expected start:stop:step or value, finite, "
+        f"at most {MAX_GRID_VALUES} values)"
+    )
 
 
 def _sweep_config(args) -> list[TrainConfig]:
@@ -280,7 +299,7 @@ def _sweep_config(args) -> list[TrainConfig]:
 
 def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
     try:
-        dataset = load_dataset(Path(args.data) / "manifest.json")
+        dataset = load_dataset(Path(args.data) / "manifest.json", ("train", "val"))
     except DatasetError as exc:
         _diag(f"cannot load dataset: {exc}")
         return EXIT_IO
@@ -308,7 +327,7 @@ def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
 def cmd_report(args, _cfg) -> int:
     try:
         doc = json.loads(Path(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         _diag(f"cannot read report: {exc}")
         return EXIT_IO
     _emit(doc)

@@ -84,6 +84,10 @@ class CorruptFile(DatasetError):
     """A dataset file exists but is not a valid MRC1 container of the right shape."""
 
 
+class UnreadableFile(DatasetError):
+    """A dataset file exists but cannot be read (a directory, no permission)."""
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     if out is arr:
@@ -383,7 +387,7 @@ def parse_manifest(manifest_path) -> DatasetManifest:
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ManifestParseError(f"{manifest_path}: {exc}") from exc
     try:
         manifest = DatasetManifest(
@@ -418,12 +422,17 @@ def _read_dataset_file(reader, path):
         return reader(path)
     except ContainerError as exc:
         raise CorruptFile(str(exc)) from exc
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror or exc}") from exc
 
 
-def load_dataset(manifest_path) -> dict[str, list[Sample]]:
-    """Load every sample referenced by a manifest, grouped by split.
+def load_dataset(manifest_path, splits=SPLITS) -> dict[str, list[Sample]]:
+    """Load the samples of the given splits referenced by a manifest, grouped by split.
 
-    Paths in the manifest are relative to the manifest's directory.
+    Paths in the manifest are relative to the manifest's directory. Every
+    file of every split is read and validated in manifest order, so the
+    first bad file raises the same DatasetError whatever `splits` is; only
+    the samples of `splits` are kept, and the other splits' lists are empty.
     """
     manifest_path = Path(manifest_path)
     manifest = parse_manifest(manifest_path)
@@ -451,6 +460,6 @@ def load_dataset(manifest_path) -> dict[str, list[Sample]]:
                     f"{mask.shape} ({rp})"
                 )
             masks[r] = mask.data
-        stack = RaterStack(masks)
-        out[entry.split].append(Sample(id=entry.id, image=image, annotations=stack))
+        if entry.split in splits:
+            out[entry.split].append(Sample(id=entry.id, image=image, annotations=RaterStack(masks)))
     return out

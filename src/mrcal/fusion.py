@@ -75,8 +75,8 @@ class FusionConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and > 0")
         if self.staple_max_iters < 1 or self.simple_max_iters < 1:
             raise ValueError("iteration limits must be >= 1")
 

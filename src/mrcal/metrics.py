@@ -4,7 +4,9 @@ MR-ECE evaluates every voxel prediction against every annotator's label:
 each voxel contributes K (confidence, rater label) pairs, pairs are binned
 by confidence into M equal-width bins, and the metric is the bin-weighted
 mean absolute gap between mean confidence and empirical foreground
-frequency. With K=1 this reduces exactly to frequency-mode ECE.
+frequency. With K=1 this reduces exactly to frequency-mode ECE. In top_label
+mode a pair's label is whether the rater agrees with the thresholded
+prediction I(p >= tau), and with K=1 it reduces to top-label `ece_single`.
 
 AUC is the Mann-Whitney rank statistic against the majority vote of the
 rater stack (ties to foreground). The bootstrap protocol resamples test
@@ -54,6 +56,8 @@ class EvalConfig:
             raise ValueError("num_bins must be >= 1")
         if self.bootstrap_n < 1:
             raise ValueError("bootstrap_n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.ece_mode not in ("frequency", "top_label"):
             raise ValueError(f"unknown ece_mode {self.ece_mode!r}")
 
@@ -123,7 +127,13 @@ def _as_pred_array(pred) -> np.ndarray:
 
 
 def _image_bins(preds, stacks, cfg: EvalConfig) -> list[CalibrationBins]:
-    """One CalibrationBins per (prediction, rater stack) sample, in order."""
+    """One CalibrationBins per (prediction, rater stack) sample, in order.
+
+    Each voxel adds K items at its prediction. Their label sum is the
+    foreground vote count in frequency mode; in top_label mode it is the
+    number of raters who agree with the thresholded prediction I(p >= tau),
+    as in `ece_single`.
+    """
     if len(preds) != len(stacks):
         raise ValueError("preds and stacks must have equal length")
     if not stacks:
@@ -140,8 +150,12 @@ def _image_bins(preds, stacks, cfg: EvalConfig) -> list[CalibrationBins]:
             raise DimensionMismatch(
                 f"prediction {pred.shape} vs stack {stack.shape}"
             )
+        pred = pred.ravel()
+        labels = stack.votes().ravel()
+        if cfg.ece_mode == "top_label":
+            labels = np.where(pred >= cfg.tau, labels, k - labels)
         bins = CalibrationBins(cfg.num_bins)
-        bins.add(pred.ravel(), stack.votes().ravel(), weight=k)
+        bins.add(pred, labels, weight=k)
         out.append(bins)
     return out
 
@@ -189,10 +203,13 @@ def ece_single(pred, mask: BinaryMask, cfg: EvalConfig) -> float:
 class _MannWhitney:
     """Mann-Whitney AUC of any multiset of a fixed list of images.
 
-    Built from one argsort of the pooled scores. Each sorted position keeps
-    only its image index, and each positive keeps its image and the bounds
-    [lo, hi) of its tie group in the sorted order, found by searchsorted, so
-    -0.0 and 0.0 tie and all NaNs (sorted last) tie, as in np.unique. The
+    Built from one argsort of the pooled scores, which gathers each sorted
+    position's image and label; the kernel's own concatenated copy of the
+    scores is then sorted in place (the caller's arrays never change). Each
+    sorted position keeps only its image index, and each positive keeps its
+    image and the bounds [lo, hi) of its tie group in the sorted order,
+    found by searchsorted, so -0.0 and 0.0 tie and all NaNs (sorted last)
+    tie, as in np.unique, and the order of tied values never matters. The
     scores and the sort are freed before any replicate runs.
 
     For image multiplicities m, position p has weight w_p = m[image of p]
@@ -211,17 +228,16 @@ class _MannWhitney:
         self.pos_counts = np.array([y.sum() for y in labels], dtype=np.int64)
         values = np.concatenate([s.ravel() for s in scores])
         order = np.argsort(values)
-        ordered = values[order]
-        del values
         self.image = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), self.sizes)[order]
         pos = np.flatnonzero(np.concatenate([y.ravel() for y in labels])[order])
         del order
+        values.sort()  # equal to values[order] up to the order of ties
         self.pos_image = self.image[pos]
-        tied = ordered[pos]
+        tied = values[pos]
         del pos
-        self.lo = np.searchsorted(ordered, tied, "left")
-        self.hi = np.searchsorted(ordered, tied, "right")
-        del ordered, tied
+        self.lo = np.searchsorted(values, tied, "left")
+        self.hi = np.searchsorted(values, tied, "right")
+        del values, tied
         self.cum = None
 
     def auc(self, m: np.ndarray) -> float | None:

@@ -84,8 +84,11 @@ class TrainConfig:
     hidden_channels: int = 16
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        LossConfig(alpha=self.alpha)  # rejects a non-finite or negative alpha
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -49,6 +49,11 @@ class SynthConfig:
             raise ValueError("ambiguity must be in [0,1]")
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("rater_bias_std", "rater_noise_std"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env
 from mrcal.cli import _parse_grid, main
@@ -28,6 +34,13 @@ def dataset(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def _load_argv(command, data, tmp_path):
+    """argv of an `eval --split test` or a `fuse` run that loads `data`."""
+    if command == "eval":
+        return ["eval", "--model", "oracle", "--data", str(data), "--split", "test"]
+    return ["fuse", "--data", str(data), "--method", "mc", "--out", str(tmp_path / "f")]
 
 
 class TestSynth:
@@ -283,24 +296,64 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("command", ["eval", "fuse"])
     def test_mask_value_two_is_io_error(self, capsys, dataset, tmp_path, command):
+        self._check_mask_value_two(capsys, dataset, tmp_path, command, index=0)
+
+    def test_val_mask_value_two_fails_test_eval(self, capsys, dataset, tmp_path):
+        # eval scores the test split but still validates every split's files
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        index = next(i for i, s in enumerate(manifest["samples"]) if s["split"] == "val")
+        self._check_mask_value_two(capsys, dataset, tmp_path, "eval", index)
+
+    @staticmethod
+    def _check_mask_value_two(capsys, dataset, tmp_path, command, index):
         data = tmp_path / "ds"
         shutil.copytree(dataset, data)
         manifest = json.loads((data / "manifest.json").read_text())
-        mask_path = data / manifest["samples"][0]["rater_paths"][1]
+        mask_path = data / manifest["samples"][index]["rater_paths"][1]
         dtype, dims, mask = read_container(mask_path)
         mask = np.array(mask)
         mask[0, 0] = 2
         write_container(dtype, dims, mask, mask_path)
-        if command == "eval":
-            argv = ["eval", "--model", "oracle", "--data", str(data)]
-        else:
-            argv = ["fuse", "--data", str(data), "--method", "mc", "--out", str(tmp_path / "f")]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *_load_argv(command, data, tmp_path))
         assert code == 1
         assert out == ""
         assert err.startswith("cannot load dataset:")
         assert str(mask_path) in err and "0 or 1" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["image_path", "rater_paths"])
+    @pytest.mark.parametrize("command", ["eval", "fuse"])
+    def test_directory_entry_is_io_error(self, capsys, dataset, tmp_path, command, field):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = manifest["samples"][0]
+        path = data / (entry["image_path"] if field == "image_path" else entry["rater_paths"][1])
+        path.unlink()
+        path.mkdir()
+        code, out, err = run_cli(capsys, *_load_argv(command, data, tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load dataset:")
+        assert str(path) in err and "directory" in err
+        assert err.count("\n") == 1
+
+    def test_top_label_changes_calibration_only(self, capsys, dataset, tmp_path):
+        results = {}
+        for mode in ("frequency", "top_label"):
+            report, rel = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
+            code, out, _ = run_cli(
+                capsys,
+                "eval", "--model", "oracle", "--data", str(dataset), "--ece-mode", mode,
+                "--report", str(report), "--reliability", str(rel),
+            )
+            assert code == 0
+            results[mode] = json.loads(report.read_text()), rel.read_text()
+        (freq, freq_csv), (top, top_csv) = results["frequency"], results["top_label"]
+        assert top["config"]["ece_mode"] == "top_label"
+        assert top["mr_ece"]["point"] != freq["mr_ece"]["point"]
+        assert top_csv != freq_csv
+        assert top["auc"] == freq["auc"]
 
     @pytest.mark.parametrize("command", ["eval", "fuse"])
     def test_manifest_without_raters_is_io_error(self, capsys, dataset, tmp_path, command):
@@ -312,11 +365,7 @@ class TestTrainEval:
         for entry in manifest["samples"]:
             entry["rater_paths"] = []
         manifest_path.write_text(json.dumps(manifest))
-        if command == "eval":
-            argv = ["eval", "--model", "oracle", "--data", str(data)]
-        else:
-            argv = ["fuse", "--data", str(data), "--method", "mc", "--out", str(tmp_path / "f")]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *_load_argv(command, data, tmp_path))
         assert code == 1
         assert out == ""
         assert err.startswith("cannot load dataset:")
@@ -341,6 +390,25 @@ class TestTrainEval:
         )
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("edit", ["unknown key", "nan std", "not utf-8"])
+    def test_bad_synth_meta_is_io_error(self, capsys, dataset, tmp_path, edit):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        meta_path = data / "synth_meta.json"
+        meta = json.loads(meta_path.read_text())
+        if edit == "unknown key":
+            meta["config"]["extra"] = 1
+        else:
+            meta["config"]["rater_noise_std"] = float("nan")
+        meta_path.write_text(json.dumps(meta))
+        if edit == "not utf-8":
+            meta_path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "eval", "--model", "oracle", "--data", str(data))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load model/predictions:")
+        assert err.count("\n") == 1
 
     def test_wrong_shape_sidecar_is_io_error(self, capsys, dataset, tmp_path):
         ckpt = tmp_path / "model.mrc"
@@ -472,6 +540,16 @@ INVALID_CONFIGS = [
     ["eval", "--model", "oracle", "--data", "{tmp}/none", "--bootstrap", "0"],
     ["sweep", "--data", "{tmp}/none", "--values", "0.5:0.7:0.1", "--epochs", "0"],
     ["sweep", "--data", "{tmp}/none", "--values", "0.5", "--metric", "auc"],
+    ["synth", "--out", "{tmp}/s", "--seed", "-1"],
+    ["synth", "--out", "{tmp}/s", "--rater-noise-std", "nan"],
+    ["synth", "--out", "{tmp}/s", "--rater-bias-std", "-1"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--seed", "-1"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--lr", "nan"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--alpha", "-1"],
+    ["fuse", "--data", "{tmp}/none", "--method", "svls", "--out", "{tmp}/f", "--sigma", "inf"],
+    ["eval", "--model", "oracle", "--data", "{tmp}/none", "--seed", "-1"],
+    ["sweep", "--data", "{tmp}/none", "--values", "nan"],
+    ["sweep", "--data", "{tmp}/none", "--values", "0:1:1e-300"],
 ]
 
 
@@ -648,3 +726,104 @@ class TestEntryPoint:
                 env=child_env(MRCAL_THREADS=threads),
             )
             assert result.returncode == 0, result.stderr
+
+
+INTS = ["-1", "0", "1", "2", "1.5", "abc", ""]
+FLOATS = ["-1", "0", "1e-9", "0.5", "1", "2", "nan", "inf", "-inf", "abc", ""]
+SEEDS = ["-1", "0", "7", "abc"]
+OUTS = ["{tmp}/new", "{tmp}/missing/deep/out", "{tmp}/file", "{tmp}", "/dev/null/out"]
+DATA = ["{data}", "{dirdata}", "{tmp}", "{tmp}/missing", "{tmp}/file"]
+
+# Each subcommand's flags and the values drawn for them. The first argv
+# holds the flags every run starts from; sizes stay tiny so a run is fast.
+ARGV_FLAGS = {
+    "synth": (["--out", "{tmp}/new", "--n", "3", "--size", "8"], {
+        "--out": OUTS, "--n": ["-1", "0", "1", "3", "abc"], "--size": ["-1", "4", "8", "abc"],
+        "--raters": ["-1", "0", "1", "3", "abc"], "--ambiguity": FLOATS,
+        "--rater-bias-std": FLOATS, "--rater-noise-std": FLOATS, "--seed": SEEDS,
+    }),
+    "fuse": (["--data", "{data}", "--method", "sc", "--out", "{tmp}/new"], {
+        "--data": DATA, "--method": ["rs", "mc", "scg", "staple", "svls", "bogus"],
+        "--sigma": FLOATS, "--seed": SEEDS, "--out": OUTS,
+    }),
+    "train": (["--data", "{data}", "--loss", "rps", "--epochs", "1", "--out", "{tmp}/m.mrc"], {
+        "--data": DATA, "--loss": ["rps", "sc", "staple", "rs", "bogus"], "--alpha": FLOATS,
+        "--lr": FLOATS + ["1e300"], "--epochs": ["-1", "0", "1", "2", "abc"],
+        "--batch-size": INTS, "--sigma": FLOATS, "--seed": SEEDS, "--out": OUTS,
+    }),
+    "eval": (["--model", "{model}", "--data", "{data}", "--bootstrap", "3"], {
+        "--model": ["{model}", "oracle", "{data}", "{tmp}/file", "{tmp}/missing.mrc"],
+        "--data": DATA, "--split": ["train", "val", "test", "bogus"], "--bins": INTS,
+        "--bootstrap": ["-1", "0", "1", "3", "abc"], "--frac": FLOATS, "--seed": SEEDS,
+        "--report": OUTS, "--reliability": OUTS, "--ece-mode": ["frequency", "top_label", "x"],
+    }),
+    "sweep": (["--data", "{data}", "--values", "0.5", "--epochs", "1"], {
+        "--data": DATA, "--param": ["alpha", "lr"], "--metric": ["mr_ece", "auc"],
+        "--values": ["0.5", "0.2:0.6:0.2", "1:0:0.1", "0:1:0", "0:1:1e-300", "0:inf:1",
+                     "nan", "-1", "abc", ""],
+        "--lr": FLOATS, "--epochs": ["-1", "0", "1", "abc"], "--seed": SEEDS,
+    }),
+    "report": (["--report", "{report}"], {
+        "--report": ["{report}", "{tmp}", "{tmp}/file", "{tmp}/missing.json", "{model}"],
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(dataset, tmp_path_factory):
+    """A checkpoint and a report for `dataset`, and a copy of it whose
+    manifest names a directory where a rater mask should be."""
+    root = tmp_path_factory.mktemp("argv")
+    model = root / "m.mrc"
+    assert main(["train", "--data", str(dataset), "--loss", "rps", "--epochs", "1",
+                 "--out", str(model)]) == 0
+    report = root / "r.json"
+    assert main(["eval", "--model", "oracle", "--data", str(dataset), "--report", str(report)]) == 0
+    dirdata = root / "dirdata"
+    shutil.copytree(dataset, dirdata)
+    manifest = json.loads((dirdata / "manifest.json").read_text())
+    mask = dirdata / manifest["samples"][-1]["rater_paths"][0]
+    mask.unlink()
+    mask.mkdir()
+    return {"data": dataset, "dirdata": dirdata, "model": model, "report": report}
+
+
+class TestArgvProperty:
+    @pytest.mark.parametrize("command", sorted(ARGV_FLAGS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_argv_exits_with_contract_code(self, argv_inputs, tmp_path_factory, command, data):
+        base, flags = ARGV_FLAGS[command]
+        argv = [command, *base]
+        for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+            argv += [flag, data.draw(st.sampled_from(flags[flag]))]
+        edit = data.draw(st.sampled_from(("none", "none", "none", "drop", "no value")))
+        if edit == "drop":  # a required flag may go missing
+            at = data.draw(st.integers(0, len(base) // 2 - 1))
+            del argv[1 + 2 * at : 3 + 2 * at]
+        elif edit == "no value":
+            argv.append(data.draw(st.sampled_from(sorted(flags))))
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            (Path(tmp) / "file").write_text("not a dataset\n")
+            argv = [a.format(tmp=tmp, **argv_inputs) for a in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+        event(f"exit {code}")
+        assert code in range(5), (argv, stderr.getvalue())
+        for line in stdout.getvalue().splitlines():
+            json.loads(line)
+        assert "Traceback" not in stderr.getvalue()
+
+    def test_child_process_has_no_traceback(self, argv_inputs, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "mrcal.cli", "fuse", "--data", str(argv_inputs["dirdata"]),
+             "--method", "mc", "--out", str(tmp_path / "f")],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1

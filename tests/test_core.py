@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mrcal.core import (
     BadMagic,
     BinaryMask,
     ContainerError,
+    CorruptFile,
     DimensionMismatch,
     ForegroundProbMap,
     Grid2D,
@@ -21,6 +23,7 @@ from mrcal.core import (
     RaterCountMismatch,
     RaterStack,
     TruncatedPayload,
+    UnreadableFile,
     UnsupportedDtype,
     load_dataset,
     parse_manifest,
@@ -200,6 +203,68 @@ def test_load_dataset_missing_file(tmp_path):
     (tmp_path / "s0_r1.mrc").unlink()
     with pytest.raises(MissingFile):
         load_dataset(path)
+
+
+def test_load_dataset_directory_entry_is_unreadable(tmp_path):
+    path = _write_dataset(tmp_path)
+    (tmp_path / "s1_r2.mrc").unlink()
+    (tmp_path / "s1_r2.mrc").mkdir()
+    with pytest.raises(UnreadableFile, match="s1_r2.mrc"):
+        load_dataset(path)
+
+
+def _write_split_dataset(tmp_path, size=4, splits=("train", "val", "test", "train", "test")):
+    """A dataset with random images and masks, one sample per split given."""
+    rng = np.random.default_rng(0)
+    entries = []
+    for i, split in enumerate(splits):
+        sid = f"s{i}"
+        write_container(DTYPE_F32, (size, size), rng.random((size, size)), tmp_path / f"{sid}.mrc")
+        rater_paths = [f"{sid}_r{r}.mrc" for r in range(3)]
+        for rp in rater_paths:
+            write_container(DTYPE_U8, (size, size), rng.integers(0, 2, (size, size)), tmp_path / rp)
+        entries.append(
+            {"id": sid, "image_path": f"{sid}.mrc", "rater_paths": rater_paths, "split": split}
+        )
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"version": "1", "num_raters": 3, "samples": entries}))
+    return path
+
+
+def test_load_dataset_keeps_only_requested_splits(tmp_path):
+    path = _write_split_dataset(tmp_path)
+    full = load_dataset(path)
+    only = load_dataset(path, splits=("test",))
+    assert only["train"] == [] and only["val"] == []
+    assert [s.id for s in only["test"]] == [s.id for s in full["test"]] == ["s2", "s4"]
+    for a, b in zip(only["test"], full["test"]):
+        assert a.image.data.tobytes() == b.image.data.tobytes()
+        assert a.annotations.masks.tobytes() == b.annotations.masks.tobytes()
+
+
+def test_load_dataset_validates_unrequested_splits(tmp_path):
+    path = _write_split_dataset(tmp_path)
+    write_container(DTYPE_U8, (4, 4), np.full((4, 4), 2), tmp_path / "s1_r0.mrc")  # val
+    with pytest.raises(CorruptFile, match="s1_r0.mrc"):
+        load_dataset(path, splits=("test",))
+
+
+def test_split_load_does_not_keep_other_splits(tmp_path):
+    # 2 test samples of 10 at 64x64: 45 KB of float64 image and uint8 masks each
+    splits = ("train",) * 6 + ("val",) * 2 + ("test",) * 2
+    path = _write_split_dataset(tmp_path, size=64, splits=splits)
+    sample_bytes = 64 * 64 * (8 + 3)
+    traced = {}
+    for requested in (("test",), ("train", "val", "test")):
+        tracemalloc.start()
+        dataset = load_dataset(path, splits=requested)
+        traced[requested] = tracemalloc.get_traced_memory()  # (current, peak)
+        tracemalloc.stop()
+        del dataset
+    kept, peak = traced[("test",)]
+    # another split's sample dies once it is checked: never more than one extra in memory
+    assert kept < 3 * sample_bytes and peak < 4 * sample_bytes
+    assert traced[("train", "val", "test")][0] > 10 * sample_bytes
 
 
 def test_load_dataset_bad_json(tmp_path):

@@ -44,9 +44,25 @@ class TestMrEce:
         for trial in range(50):
             mask_arr = rng.integers(0, 2, size=(6, 6)).astype(np.uint8)
             pred = rng.random((6, 6))
-            v_multi, _ = mr_ece([pred], [stack_from(mask_arr[None])], EvalConfig())
-            v_single = ece_single(pred, BinaryMask.from_array(mask_arr), EvalConfig())
-            assert abs(v_multi - v_single) < 1e-12
+            for mode in ("frequency", "top_label"):
+                cfg = EvalConfig(ece_mode=mode)
+                v_multi, _ = mr_ece([pred], [stack_from(mask_arr[None])], cfg)
+                v_single = ece_single(pred, BinaryMask.from_array(mask_arr), cfg)
+                assert abs(v_multi - v_single) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["frequency", "top_label"])
+    def test_equals_single_rater_ece_of_rater_copies(self, mode):
+        # K raters = the single-rater ECE of K copies of the prediction,
+        # each paired with one rater's mask
+        rng = np.random.default_rng(5)
+        cfg = EvalConfig(ece_mode=mode, tau=0.4)
+        masks = rng.integers(0, 2, size=(3, 9, 9)).astype(np.uint8)
+        pred = np.round(rng.random((9, 9)), 1)  # some predictions sit exactly on tau
+        v_multi, _ = mr_ece([pred], [stack_from(masks)], cfg)
+        v_single = ece_single(
+            np.concatenate([pred] * 3, axis=1), BinaryMask.from_array(np.concatenate(masks, axis=1)), cfg
+        )
+        assert abs(v_multi - v_single) < 1e-12
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(2)
@@ -234,6 +250,15 @@ class TestBootstrap:
         a = bootstrap_eval(preds, stacks, EvalConfig(seed=3)).to_json()
         b = bootstrap_eval(preds, stacks, EvalConfig(seed=3)).to_json()
         assert a == b
+
+    def test_caller_predictions_unchanged(self):
+        preds, stacks = self._fixture()
+        preds[0][:2] = 0.0
+        preds[0][2:4] = -0.0  # ties that the pooled sort may reorder
+        copies = [p.copy() for p in preds]
+        auc(preds[0], BinaryMask.from_array(stacks[0].majority()))
+        bootstrap_eval(preds, stacks, EvalConfig())
+        assert [p.tobytes() for p in preds] == [c.tobytes() for c in copies]
 
     def test_mean_approaches_point_estimate(self):
         preds, stacks = self._fixture(n=5)
