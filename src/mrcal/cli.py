@@ -8,9 +8,12 @@ Before any data is read, `main` checks MRCAL_THREADS and each command builds
 its config dataclass from the arguments; `main` maps their ValueError to
 exit 2. An output path that cannot be written exits 1.
 
-MRCAL_THREADS sizes the worker pool that runs inference bands (0 or unset
-= the usable CPUs divided by the BLAS thread count, see `model.thread_cap`);
-each band writes its own rows, so results never depend on it.
+MRCAL_THREADS sizes the worker pool (`core.ordered_map`) that runs
+inference bands and, for images larger than `core.BAND_PIXELS` pixels,
+synthetic samples (0 or unset = the usable CPUs divided by the BLAS thread
+count, see `core.thread_cap`). Each band writes its own rows, each sample's
+random stream is keyed by (seed, index) and synth writes its files in index
+order on the main thread, so results never depend on it.
 """
 
 from __future__ import annotations
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
     if args.command == "fuse" and args.method == "rs" and args.seed is None:
         parser.error("--method rs requires --seed")
     try:
-        model.thread_cap()
+        core.thread_cap()
         cfg = args.config(args)
     except ValueError as exc:
         _diag(f"{args.command}: {exc}")

@@ -15,6 +15,10 @@ bitwise).
 
 A RaterStack is one image's K rater masks as one read-only (K, H, W) uint8 array;
 its `votes` and `majority` are the package's only vote count and majority rule.
+
+`ordered_map` is the package's one worker pool: inference bands and synthetic
+samples run through it on `thread_cap()` threads (MRCAL_THREADS), and every
+result comes back in item order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import json
 import math
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +39,84 @@ DTYPE_F32 = 1
 
 _NUMPY_DTYPES = {DTYPE_U8: np.dtype("<u1"), DTYPE_F32: np.dtype("<f4")}
 _MAX_ELEMENTS = 2 ** 32
+
+# An inference band holds at most this many pixels (4096 pixels of conv2's
+# 16-channel columns are 4.7 MB, against 75 MB for a whole 256x256 image);
+# synth computes images of at most this many pixels inline, where a worker
+# thread measured no faster.
+BAND_PIXELS = 4096
+
+# BLAS libraries size their own thread pools from these, in this order; with
+# none set they use every CPU
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(cpus: int) -> int:
+    for var in BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ[var])
+        except (KeyError, ValueError):
+            continue
+        if n > 0:
+            return n
+    return cpus
+
+
+def thread_cap() -> int:
+    """Worker threads of `ordered_map`: MRCAL_THREADS, where 0 or unset
+    means the CPUs this process may run on divided by the BLAS thread count,
+    at least 1. Inference bands run their GEMMs on BLAS's threads, so with
+    BLAS unpinned this is one worker; band workers on top of a multi-threaded
+    BLAS measured slower than one. Raises ValueError naming the variable and
+    its value when it is not a non-negative integer."""
+    raw = os.environ.get("MRCAL_THREADS", "0")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"MRCAL_THREADS must be a non-negative integer, got {raw!r}")
+    if cap:
+        return cap
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, cpus // _blas_threads(cpus))
+
+
+def ordered_map(fn, items):
+    """Yield fn(item) for each item, in item order.
+
+    Every call runs inline on the calling thread when `thread_cap()` is 1 or
+    there is one item. Otherwise the calls run on a pool of up to
+    `thread_cap()` threads opened for this call, with at most 2 x workers of
+    them submitted and not yet yielded, so only a few results are held at a
+    time. If a call raises, or the consumer stops early, the calls not yet
+    started are cancelled and the workers joined before the generator
+    finishes; the exception raised is that of the first failing item in item
+    order. A consumer that may stop early closes the generator
+    (`contextlib.closing`), so that no worker outlives its loop.
+    """
+    items = list(items)
+    workers = min(thread_cap(), len(items))
+    if workers <= 1:
+        for item in items:
+            yield fn(item)
+        return
+    # imported here: commands that never run a pool skip its import cost
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers, thread_name_prefix="mrcal-worker") as pool:
+        pending = deque()
+        try:
+            for item in items:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 class ContainerError(Exception):
@@ -361,16 +444,27 @@ def read_mask(path) -> BinaryMask:
         raise ContainerError(f"{path}: {exc}") from exc
 
 
-def read_image(path) -> Grid2D:
-    """Read a 2D image; u8 payloads are rescaled by value/255."""
+def _read_image_payload(path):
+    """An image file's dtype code and its 2D payload as stored, validated
+    but not converted."""
     dtype, dims, arr = read_container(path)
     if len(dims) != 2:
         raise ContainerError(f"{path}: image must be 2D, got ndim={len(dims)}")
+    if 0 in dims:
+        raise ContainerError(f"{path}: image dims must be positive, got {dims}")
+    return dtype, arr
+
+
+def _image_grid(dtype: int, arr: np.ndarray) -> Grid2D:
+    """The float64 image of a stored payload; u8 is rescaled by value/255."""
     if dtype == DTYPE_U8:
-        arr = arr.astype(np.float64) / 255.0
-    else:
-        arr = arr.astype(np.float64)
-    return Grid2D(arr)
+        return Grid2D(arr.astype(np.float64) / 255.0)
+    return Grid2D(arr.astype(np.float64))
+
+
+def read_image(path) -> Grid2D:
+    """Read a 2D image; u8 payloads are rescaled by value/255."""
+    return _image_grid(*_read_image_payload(path))
 
 
 def read_prob_map(path) -> ForegroundProbMap:
@@ -432,7 +526,8 @@ def load_dataset(manifest_path, splits=SPLITS) -> dict[str, list[Sample]]:
     Paths in the manifest are relative to the manifest's directory. Every
     file of every split is read and validated in manifest order, so the
     first bad file raises the same DatasetError whatever `splits` is; only
-    the samples of `splits` are kept, and the other splits' lists are empty.
+    the samples of `splits` are kept (and only their images converted to
+    float64), and the other splits' lists are empty.
     """
     manifest_path = Path(manifest_path)
     manifest = parse_manifest(manifest_path)
@@ -447,19 +542,20 @@ def load_dataset(manifest_path, splits=SPLITS) -> dict[str, list[Sample]]:
         image_file = root / entry.image_path
         if not image_file.exists():
             raise MissingFile(str(image_file))
-        image = _read_dataset_file(read_image, image_file)
-        masks = np.empty((manifest.num_raters, *image.shape), dtype=np.uint8)
+        dtype, pixels = _read_dataset_file(_read_image_payload, image_file)
+        masks = np.empty((manifest.num_raters, *pixels.shape), dtype=np.uint8)
         for r, rp in enumerate(entry.rater_paths):
             rater_file = root / rp
             if not rater_file.exists():
                 raise MissingFile(str(rater_file))
             mask = _read_dataset_file(read_mask, rater_file)
-            if mask.shape != image.shape:
+            if mask.shape != pixels.shape:
                 raise DimensionMismatch(
-                    f"sample {entry.id!r}: image {image.shape} vs rater mask "
+                    f"sample {entry.id!r}: image {pixels.shape} vs rater mask "
                     f"{mask.shape} ({rp})"
                 )
             masks[r] = mask.data
         if entry.split in splits:
+            image = _image_grid(dtype, pixels)  # dropped splits skip the float64 copy
             out[entry.split].append(Sample(id=entry.id, image=image, annotations=RaterStack(masks)))
     return out

@@ -15,10 +15,11 @@ are exact reverse-mode gradients, verified against finite differences and a
 direct-loop convolution in the test suite. Inference keeps no cache: it runs
 the whole net (conv1 with a one-row halo, both ReLUs, conv2 and the head) per
 row band of at most BAND_PIXELS pixels, so every intermediate stays
-cache-sized at any image size. The bands are independent and may run on
-worker threads (MRCAL_THREADS, see `thread_cap`); each writes only its own
-rows of the logits, so the result is the same bit for bit at every thread
-count. Training runs the same code as one whole-image band.
+cache-sized at any image size. The bands are independent and run through
+`core.ordered_map` on its MRCAL_THREADS worker threads (see
+`core.thread_cap`); each writes only its own rows of the logits, so the
+result is the same bit for bit at every thread count. Training runs the same
+code as one whole-image band.
 
 Two arrays are stored pixel-major ((H, W, C) in memory, see
 `_pixel_major_like`): conv2's ReLU output, which the head's einsums read, and
@@ -34,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -42,11 +42,15 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (
+from .core import (  # noqa: F401  model.BLAS_THREAD_VARS and model.thread_cap stay importable
+    BAND_PIXELS,
+    BLAS_THREAD_VARS,
     DTYPE_F32,
     ForegroundProbMap,
     Grid2D,
+    ordered_map,
     read_container,
+    thread_cap,
     write_container,
     write_together,
 )
@@ -54,10 +58,6 @@ from .fusion import DegenerateStack, FusionConfig, fuse, fuse_staple
 from .ordinal import LossConfig, OrdinalProbMap, aggregate_foreground, hybrid_loss, orc_encode
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-# Pixels per inference band (see `_forward_logits`): 4096 pixels of conv2's
-# 16-channel columns are 4.7 MB, against 75 MB for a whole 256x256 image.
-BAND_PIXELS = 4096
 
 
 class ArchitectureMismatch(Exception):
@@ -205,43 +205,6 @@ def _pixel_major_like(x: np.ndarray) -> np.ndarray:
     return np.empty((h, wd, c)).transpose(2, 0, 1)
 
 
-# BLAS libraries size their own thread pools from these, in this order; with
-# none set they use every CPU
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_threads(cpus: int) -> int:
-    for var in BLAS_THREAD_VARS:
-        try:
-            n = int(os.environ[var])
-        except (KeyError, ValueError):
-            continue
-        if n > 0:
-            return n
-    return cpus
-
-
-def thread_cap() -> int:
-    """Worker threads for inference bands: MRCAL_THREADS, where 0 or unset
-    means the CPUs this process may run on divided by the BLAS thread count,
-    at least 1. Each band's GEMMs run on BLAS's threads, so with BLAS unpinned
-    this is one worker; band workers on top of a multi-threaded BLAS measured
-    slower than one. Raises ValueError naming the variable and its value when
-    it is not a non-negative integer."""
-    raw = os.environ.get("MRCAL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"MRCAL_THREADS must be a non-negative integer, got {raw!r}")
-    if cap:
-        return cap
-    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, cpus // _blas_threads(cpus))
-
-
 def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int, logits: np.ndarray):
     """Run the whole net for image rows [top, bottom) into logits[:, top:bottom].
 
@@ -272,8 +235,8 @@ def _forward_logits(net: TinyNet, image: np.ndarray, keep_cache: bool = True):
     runs per band of max(1, BAND_PIXELS // W) rows, so every intermediate
     stays cache-sized instead of one (C*9, H*W) matrix per image. The bands
     are independent and each writes its own rows of the logits, so they run
-    on `thread_cap()` worker threads with results that do not depend on the
-    thread count. With the cache, the band is the whole image.
+    through `ordered_map` with results that do not depend on the thread
+    count. With the cache, the band is the whole image.
     """
     h, wd = image.shape
     padded = np.pad(image, 1)[None]
@@ -284,18 +247,10 @@ def _forward_logits(net: TinyNet, image: np.ndarray, keep_cache: bool = True):
     bands = [(top, min(top + rows, h)) for top in range(0, h, rows)]
 
     def run(band):
-        _band_logits(net, padded, *band, logits)  # its caches die here, not with the map
+        _band_logits(net, padded, *band, logits)  # its caches die here, not in the map's window
 
-    workers = min(thread_cap(), len(bands))
-    if workers == 1:
-        for band in bands:
-            run(band)
-    else:
-        # imported here: commands that never run threaded inference skip its import cost
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers, thread_name_prefix="mrcal-band") as pool:
-            list(pool.map(run, bands))  # waits for every band, re-raises a band's exception
+    for _ in ordered_map(run, bands):
+        pass
     return logits, None
 
 

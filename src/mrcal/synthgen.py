@@ -11,18 +11,26 @@ calibrated oracle predictor in tests.
 Noise fields are drawn on a padded canvas and smoothed with a 'valid'
 convolution so every voxel sees a full kernel window and sigma_eff is
 uniform across the image.
+
+`generate` computes the samples through `core.ordered_map`, on the
+MRCAL_THREADS worker threads for images larger than `core.BAND_PIXELS`
+pixels and inline otherwise, and writes each sample's files on the calling
+thread in index order. Each sample's random stream is keyed by (seed, index),
+so a dataset is byte-identical at every thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import DTYPE_F32, DTYPE_U8, Grid2D, write_container
+from .core import BAND_PIXELS, DTYPE_F32, DTYPE_U8, Grid2D, ordered_map, write_container
 from .fusion import gaussian_filter_valid, gaussian_kernel_1d
 
 NOISE_SMOOTH_SIGMA = 1.0
@@ -102,6 +110,13 @@ def _smoothed_noise(rng: np.random.Generator, size: int, std: float) -> np.ndarr
 
 def generate_sample(cfg: SynthConfig, index: int):
     """One (latent, image, rater masks) triple; RNG stream keyed by (seed, index)."""
+    return _sample(cfg, index)
+
+
+def _sample(cfg: SynthConfig, index: int):
+    """`generate_sample`'s body. `generate`'s worker threads call it under
+    this private name, so wrapping the public one (as a tracer does) never
+    runs on a worker."""
     rng = np.random.default_rng([cfg.seed, index])
     s = _soft_ellipses(rng, cfg.image_size, cfg.ambiguity)
     image = np.clip(
@@ -151,27 +166,32 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
 
     entries = []
     latent_paths = {}
-    for index in range(cfg.num_samples):
-        sample_id = f"s{index:04d}"
-        latent, image, masks = generate_sample(cfg, index)
-        image_path = f"images/{sample_id}.mrc"
-        write_container(DTYPE_F32, image.shape, image, out_dir / image_path)
-        rater_paths = []
-        for r in range(cfg.num_raters):
-            rp = f"raters/{sample_id}_r{r}.mrc"
-            write_container(DTYPE_U8, masks[r].shape, masks[r], out_dir / rp)
-            rater_paths.append(rp)
-        latent_path = f"latents/{sample_id}.mrc"
-        write_container(DTYPE_F32, latent.data.shape, latent.data, out_dir / latent_path)
-        latent_paths[sample_id] = latent_path
-        entries.append(
-            {
-                "id": sample_id,
-                "image_path": image_path,
-                "rater_paths": rater_paths,
-                "split": split_of[index],
-            }
-        )
+    indices = range(cfg.num_samples)
+    if cfg.image_size ** 2 > BAND_PIXELS:
+        samples = ordered_map(partial(_sample, cfg), indices)
+    else:  # too little work per sample to pay for a worker
+        samples = (_sample(cfg, index) for index in indices)
+    with contextlib.closing(samples):  # a failed write stops the workers
+        for index, (latent, image, masks) in zip(indices, samples):
+            sample_id = f"s{index:04d}"
+            image_path = f"images/{sample_id}.mrc"
+            write_container(DTYPE_F32, image.shape, image, out_dir / image_path)
+            rater_paths = []
+            for r in range(cfg.num_raters):
+                rp = f"raters/{sample_id}_r{r}.mrc"
+                write_container(DTYPE_U8, masks[r].shape, masks[r], out_dir / rp)
+                rater_paths.append(rp)
+            latent_path = f"latents/{sample_id}.mrc"
+            write_container(DTYPE_F32, latent.data.shape, latent.data, out_dir / latent_path)
+            latent_paths[sample_id] = latent_path
+            entries.append(
+                {
+                    "id": sample_id,
+                    "image_path": image_path,
+                    "rater_paths": rater_paths,
+                    "split": split_of[index],
+                }
+            )
 
     manifest = {
         "version": "1",

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,21 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--n", "5"])
         assert exc.value.code == 2
+
+    def test_failed_write_exits_1_and_stops_workers(self, capsys, monkeypatch, tmp_path):
+        # 72x72 samples run on the worker pool; one rater target is a directory
+        monkeypatch.setenv("MRCAL_THREADS", "2")
+        out = tmp_path / "ds"
+        (out / "raters" / "s0005_r1.mrc").mkdir(parents=True)
+        before = threading.active_count()
+        code, stdout, err = run_cli(capsys, "synth", "--out", str(out), "--n", "20", "--size", "72")
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("synth failed: ") and "s0005_r1.mrc" in err
+        assert err.count("\n") == 1
+        assert threading.active_count() == before
+        assert (out / "raters" / "s0005_r0.mrc").is_file()
+        assert not (out / "latents" / "s0005.mrc").exists()  # nothing written past the failure
 
     def test_rerun_identical_manifest(self, capsys, tmp_path):
         args = ["synth", "--n", "5", "--size", "16", "--seed", "7"]
@@ -547,6 +563,11 @@ INVALID_CONFIGS = [
     ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--lr", "nan"],
     ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--alpha", "-1"],
     ["fuse", "--data", "{tmp}/none", "--method", "svls", "--out", "{tmp}/f", "--sigma", "inf"],
+    # 2 * (sigma/4)**2 underflows to 0: the Gaussian weights would be NaN
+    ["fuse", "--data", "{tmp}/none", "--method", "svls", "--out", "{tmp}/f", "--sigma", "1e-300"],
+    ["fuse", "--data", "{tmp}/none", "--out", "{tmp}/f", "--sigma", "1e-300", "--method", "scg"],
+    ["train", "--data", "{tmp}/none", "--loss", "scg", "--out", "{tmp}/m.mrc", "--sigma", "1e-300"],
+    ["train", "--data", "{tmp}/none", "--out", "{tmp}/m.mrc", "--sigma", "1e-300", "--loss", "svls"],
     ["eval", "--model", "oracle", "--data", "{tmp}/none", "--seed", "-1"],
     ["sweep", "--data", "{tmp}/none", "--values", "nan"],
     ["sweep", "--data", "{tmp}/none", "--values", "0:1:1e-300"],
@@ -729,7 +750,7 @@ class TestEntryPoint:
 
 
 INTS = ["-1", "0", "1", "2", "1.5", "abc", ""]
-FLOATS = ["-1", "0", "1e-9", "0.5", "1", "2", "nan", "inf", "-inf", "abc", ""]
+FLOATS = ["-1", "0", "1e-300", "1e-9", "0.5", "1", "2", "nan", "inf", "-inf", "abc", ""]
 SEEDS = ["-1", "0", "7", "abc"]
 OUTS = ["{tmp}/new", "{tmp}/missing/deep/out", "{tmp}/file", "{tmp}", "/dev/null/out"]
 DATA = ["{data}", "{dirdata}", "{tmp}", "{tmp}/missing", "{tmp}/file"]

@@ -1,5 +1,7 @@
 import json
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrcal import core
 from mrcal.core import (
     DTYPE_F32,
     DTYPE_U8,
@@ -26,6 +29,7 @@ from mrcal.core import (
     UnreadableFile,
     UnsupportedDtype,
     load_dataset,
+    ordered_map,
     parse_manifest,
     read_container,
     read_mask,
@@ -265,6 +269,137 @@ def test_split_load_does_not_keep_other_splits(tmp_path):
     # another split's sample dies once it is checked: never more than one extra in memory
     assert kept < 3 * sample_bytes and peak < 4 * sample_bytes
     assert traced[("train", "val", "test")][0] > 10 * sample_bytes
+
+
+@pytest.mark.parametrize("corruption", ["magic", "ndim", "zero_dims", "truncated", "mask_shape"])
+def test_corrupt_image_in_unrequested_split_fails_alike(tmp_path, corruption):
+    # s1 is the val sample: a load that keeps only the test split still checks it
+    path = _write_split_dataset(tmp_path)
+    image = tmp_path / "s1.mrc"
+    if corruption == "magic":
+        image.write_bytes(b"NOPE" + image.read_bytes()[4:])
+    elif corruption == "ndim":
+        write_container(DTYPE_F32, (1, 4, 4), np.zeros((1, 4, 4)), image)
+    elif corruption == "zero_dims":
+        image.write_bytes(b"MRC1" + struct.pack("<BBH2I", DTYPE_F32, 2, 0, 0, 4))
+    elif corruption == "truncated":
+        image.write_bytes(image.read_bytes()[:-1])
+    else:
+        write_container(DTYPE_F32, (4, 5), np.zeros((4, 5)), image)
+    error = DimensionMismatch if corruption == "mask_shape" else CorruptFile
+    messages = set()
+    for requested in (("val",), ("test",)):
+        with pytest.raises(error) as exc:
+            load_dataset(path, splits=requested)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    assert "s1" in messages.pop()
+
+
+def test_only_kept_images_are_converted(tmp_path, monkeypatch):
+    path = _write_split_dataset(tmp_path)
+    converted = []
+
+    def image_grid(dtype, arr, real=core._image_grid):
+        converted.append(arr.shape)
+        return real(dtype, arr)
+
+    monkeypatch.setattr(core, "_image_grid", image_grid)
+    dataset = load_dataset(path, splits=("test",))
+    assert len(converted) == len(dataset["test"]) == 2
+
+
+class TestOrderedMap:
+    def test_results_come_back_in_item_order(self, monkeypatch):
+        monkeypatch.setenv("MRCAL_THREADS", "4")
+
+        def square(i):
+            time.sleep(0.001 * (i % 5))  # later items often finish first
+            return i * i
+
+        assert list(ordered_map(square, range(30))) == [i * i for i in range(30)]
+
+    @pytest.mark.parametrize("threads, n", [("1", 6), ("4", 1)])
+    def test_runs_inline_on_the_calling_thread(self, monkeypatch, threads, n):
+        monkeypatch.setenv("MRCAL_THREADS", threads)
+        before = threading.active_count()
+        seen = []
+
+        def record(i):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return i
+
+        assert list(ordered_map(record, range(n))) == list(range(n))
+        assert seen == [(threading.get_ident(), before)] * n
+
+    def test_at_most_the_window_in_flight(self, monkeypatch):
+        workers = 3
+        monkeypatch.setenv("MRCAL_THREADS", str(workers))
+        lock = threading.Lock()
+        started = []
+
+        def record(i):
+            with lock:
+                started.append(i)
+            return i
+
+        ahead = []
+        for i in ordered_map(record, range(40)):
+            time.sleep(0.005)  # a slow consumer: the workers run as far ahead as they may
+            with lock:
+                ahead.append(max(started) - i)
+        # holding result i, items i .. i + 2 x workers - 1 are the most submitted
+        assert max(ahead) == 2 * workers - 1
+        assert sorted(started) == list(range(40))
+
+    def test_first_failing_item_is_raised_and_workers_joined(self, monkeypatch):
+        workers = 4
+        monkeypatch.setenv("MRCAL_THREADS", str(workers))
+        before = threading.active_count()
+        started = []
+
+        def work(i):
+            started.append(i)
+            if i == 9:
+                time.sleep(0.05)
+                raise ValueError("item 9")
+            if i == 12:
+                raise ValueError("item 12")  # fails first in time, later in item order
+            return i
+
+        results = []
+        with pytest.raises(ValueError, match="item 9"):
+            for result in ordered_map(work, range(100)):
+                results.append(result)
+        assert results == list(range(9))
+        assert max(started) < 9 + 2 * workers  # the rest were never started
+        assert threading.active_count() == before
+
+    def test_failure_cancels_calls_not_yet_started(self, monkeypatch):
+        # 2 workers, 4 in flight: item 0 fails at once while 1 and 2 run
+        # and 3 waits in the queue
+        monkeypatch.setenv("MRCAL_THREADS", "2")
+        started = set()
+
+        def work(i):
+            started.add(i)
+            if i == 0:
+                raise ValueError("item 0")
+            time.sleep(0.2)
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            list(ordered_map(work, range(10)))
+        assert started == {0, 1, 2}
+
+    def test_consumer_that_stops_early_joins_workers(self, monkeypatch):
+        monkeypatch.setenv("MRCAL_THREADS", "4")
+        before = threading.active_count()
+        results = ordered_map(lambda i: i, range(100))
+        assert next(results) == 0
+        assert threading.active_count() > before
+        results.close()
+        assert threading.active_count() == before
 
 
 def test_load_dataset_bad_json(tmp_path):

@@ -1,10 +1,14 @@
 import json
 import hashlib
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mrcal.core import load_dataset, parse_manifest, read_container
+from conftest import child_env
+from mrcal.core import BAND_PIXELS, load_dataset, parse_manifest, read_container
 from mrcal.synthgen import (
     LatentField,
     SynthConfig,
@@ -199,3 +203,66 @@ class TestDatasetOutput:
         for entry in manifest.samples:
             counts[entry.split] += 1
         assert (counts["train"], counts["val"], counts["test"]) == (14, 3, 3)
+
+
+def _dataset_digest(root):
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+class TestThreadedGeneration:
+    # above the size run inline, and more samples than the 2 x 4 in flight at 4 threads
+    SIZE, N = 72, 20
+
+    def test_identical_at_every_thread_count(self, monkeypatch, tmp_path):
+        assert self.SIZE ** 2 > BAND_PIXELS
+        cfg = SynthConfig(num_samples=self.N, image_size=self.SIZE, seed=6)
+        digests = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more worker switches: a shared write would show
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("MRCAL_THREADS", threads)
+                generate(cfg, tmp_path / threads)
+                digests[threads] = _dataset_digest(tmp_path / threads)
+        finally:
+            sys.setswitchinterval(interval)
+        # one more at 4 threads in a fresh process, through the CLI
+        code = (
+            "import sys; sys.setswitchinterval(1e-6); from mrcal.cli import main; "
+            f"sys.exit(main(['synth', '--out', {str(tmp_path / 'child')!r}, '--n', '{self.N}', "
+            f"'--size', '{self.SIZE}', '--seed', '6']))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=child_env(MRCAL_THREADS="4"), timeout=120)
+        assert result.returncode == 0, result.stderr
+        digests["child"] = _dataset_digest(tmp_path / "child")
+        assert len(set(digests.values())) == 1, digests
+
+    def test_failed_write_joins_workers_before_raising(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("MRCAL_THREADS", "2")
+        (tmp_path / "raters" / "s0005_r1.mrc").mkdir(parents=True)
+        before = threading.active_count()
+        cfg = SynthConfig(num_samples=self.N, image_size=self.SIZE)
+        with pytest.raises(IsADirectoryError) as failure:
+            generate(cfg, tmp_path)
+        # the traceback held here keeps generate's frame alive: its workers must be gone anyway
+        assert failure.value.__traceback__ is not None
+        assert threading.active_count() == before
+
+    def test_samples_equal_generate_sample(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("MRCAL_THREADS", "4")
+        cfg = SynthConfig(num_samples=10, image_size=self.SIZE, num_raters=2, seed=3)
+        generate(cfg, tmp_path)
+        for index in range(cfg.num_samples):
+            latent, image, masks = generate_sample(cfg, index)
+            sid = f"s{index:04d}"
+            assert read_container(tmp_path / f"images/{sid}.mrc")[2].tobytes() == \
+                image.astype("<f4").tobytes()
+            assert read_container(tmp_path / f"latents/{sid}.mrc")[2].tobytes() == \
+                latent.data.astype("<f4").tobytes()
+            for r in range(cfg.num_raters):
+                assert read_container(tmp_path / f"raters/{sid}_r{r}.mrc")[2].tobytes() == \
+                    masks[r].tobytes()
