@@ -9,8 +9,7 @@ its config dataclass from the arguments; `main` maps their ValueError to
 exit 2. An output path that cannot be written exits 1.
 
 MRCAL_THREADS sizes the worker pool (`core.ordered_map`) that runs
-inference bands and, for images larger than `core.BAND_PIXELS` pixels,
-synthetic samples (0 or unset = the usable CPUs divided by the BLAS thread
+inference bands and synthetic samples (0 or unset = the usable CPUs divided by the BLAS thread
 count, see `core.thread_cap`). Each band writes its own rows, each sample's
 random stream is keyed by (seed, index) and synth writes its files in index
 order on the main thread, so results never depend on it.

@@ -40,12 +40,6 @@ DTYPE_F32 = 1
 _NUMPY_DTYPES = {DTYPE_U8: np.dtype("<u1"), DTYPE_F32: np.dtype("<f4")}
 _MAX_ELEMENTS = 2 ** 32
 
-# An inference band holds at most this many pixels (4096 pixels of conv2's
-# 16-channel columns are 4.7 MB, against 75 MB for a whole 256x256 image);
-# synth computes images of at most this many pixels inline, where a worker
-# thread measured no faster.
-BAND_PIXELS = 4096
-
 # BLAS libraries size their own thread pools from these, in this order; with
 # none set they use every CPU
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")

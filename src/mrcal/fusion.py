@@ -77,9 +77,9 @@ class FusionConfig:
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be finite and > 0")
-        # the Gaussian kernel divides by 2*sigma**2, and svls by 2*s**2 for
-        # widths s down to sigma/4: either one rounding to 0 gives NaN weights
-        if any(2.0 * s * s == 0.0 for s in (self.sigma, 0.25 * self.sigma)):
+        # svls divides by 2*s*s for widths s down to sigma/4 (the Gaussian
+        # kernel by 2*sigma**2, never smaller); 0 there gives NaN weights
+        if 2.0 * (0.25 * self.sigma) * (0.25 * self.sigma) == 0.0:
             raise ValueError(f"sigma {self.sigma!r} is too small: 2*(sigma/4)**2 underflows to 0")
         if self.staple_max_iters < 1 or self.simple_max_iters < 1:
             raise ValueError("iteration limits must be >= 1")

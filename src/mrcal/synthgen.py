@@ -13,8 +13,7 @@ convolution so every voxel sees a full kernel window and sigma_eff is
 uniform across the image.
 
 `generate` computes the samples through `core.ordered_map`, on the
-MRCAL_THREADS worker threads for images larger than `core.BAND_PIXELS`
-pixels and inline otherwise, and writes each sample's files on the calling
+MRCAL_THREADS worker threads, and writes each sample's files on the calling
 thread in index order. Each sample's random stream is keyed by (seed, index),
 so a dataset is byte-identical at every thread count.
 """
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BAND_PIXELS, DTYPE_F32, DTYPE_U8, Grid2D, ordered_map, write_container
+from .core import DTYPE_F32, DTYPE_U8, Grid2D, ordered_map, write_container
 from .fusion import gaussian_filter_valid, gaussian_kernel_1d
 
 NOISE_SMOOTH_SIGMA = 1.0
@@ -167,10 +166,7 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
     entries = []
     latent_paths = {}
     indices = range(cfg.num_samples)
-    if cfg.image_size ** 2 > BAND_PIXELS:
-        samples = ordered_map(partial(_sample, cfg), indices)
-    else:  # too little work per sample to pay for a worker
-        samples = (_sample(cfg, index) for index in indices)
+    samples = ordered_map(partial(_sample, cfg), indices)
     with contextlib.closing(samples):  # a failed write stops the workers
         for index, (latent, image, masks) in zip(indices, samples):
             sample_id = f"s{index:04d}"

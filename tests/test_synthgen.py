@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from mrcal.core import BAND_PIXELS, load_dataset, parse_manifest, read_container
+from mrcal.core import load_dataset, parse_manifest, read_container
 from mrcal.synthgen import (
     LatentField,
     SynthConfig,
@@ -213,11 +213,10 @@ def _dataset_digest(root):
 
 
 class TestThreadedGeneration:
-    # above the size run inline, and more samples than the 2 x 4 in flight at 4 threads
+    # more samples than the 2 x 4 in flight at 4 threads
     SIZE, N = 72, 20
 
     def test_identical_at_every_thread_count(self, monkeypatch, tmp_path):
-        assert self.SIZE ** 2 > BAND_PIXELS
         cfg = SynthConfig(num_samples=self.N, image_size=self.SIZE, seed=6)
         digests = {}
         interval = sys.getswitchinterval()
