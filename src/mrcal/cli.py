@@ -1,12 +1,15 @@
 """Command-line pipeline: synth -> fuse -> train -> eval -> sweep -> report.
 
 stdout carries machine-readable JSON (or JSON lines) only; human
-diagnostics go to stderr. Exit codes: 0 success, 1 IO/data error, 2 usage
-error, 3 numerical failure, 4 metric undefined (single-class AUC).
+diagnostics go to stderr. Exit codes: 0 success, 1 IO/data error or out of
+memory, 2 usage error, 3 numerical failure, 4 metric undefined (single-class
+AUC).
 
 Before any data is read, `main` checks MRCAL_THREADS and each command builds
 its config dataclass from the arguments; `main` maps their ValueError to
-exit 2. An output path that cannot be written exits 1.
+exit 2. `main` also maps a dataset that cannot be loaded (`DatasetError`) and
+a failed allocation (`MemoryError`) to exit 1 with one stderr line. An output
+path that cannot be written exits 1.
 
 MRCAL_THREADS sizes the worker pool (`core.ordered_map`) that runs
 inference bands and synthetic samples (0 or unset = the usable CPUs divided by the BLAS thread
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import core, metrics, model, synthgen
 from .core import DatasetError, ForegroundProbMap, load_dataset
-from .fusion import METHODS, DegenerateStack, FusionConfig, SoftLabelMap, fuse, fuse_staple
+from .fusion import METHODS, DegenerateStack, FusionConfig, SoftLabelMap, fuse
 from .metrics import EvalConfig, SingleClassReference, bootstrap_eval, mr_ece, reliability_csv
 from .model import Checkpoint, NonFiniteLoss, TrainConfig, predict, train
 from .synthgen import LatentField, SynthConfig, generate, true_consensus_probability
@@ -80,23 +83,15 @@ def _fusion_config(args) -> FusionConfig:
 
 
 def cmd_fuse(args, cfg: FusionConfig) -> int:
-    try:
-        dataset = load_dataset(Path(args.data) / "manifest.json")
-    except DatasetError as exc:
-        _diag(f"cannot load dataset: {exc}")
-        return EXIT_IO
+    dataset = load_dataset(Path(args.data) / "manifest.json")
     out_dir = Path(args.out)
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for split in core.SPLITS:
             for sample in dataset[split]:
-                perf = None
                 try:
-                    if args.method == "staple":
-                        fused, perf = fuse_staple(sample.annotations, cfg)
-                    else:
-                        fused = fuse(sample.annotations, cfg, step=len(written))
+                    fused, perf = fuse(sample.annotations, cfg, step=len(written))
                 except DegenerateStack as exc:
                     _diag(f"cannot fuse sample {sample.id!r} with {args.method}: {exc}")
                     return EXIT_IO
@@ -145,11 +140,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args, cfg: TrainConfig) -> int:
-    try:
-        dataset = load_dataset(Path(args.data) / "manifest.json", ("train",))
-    except DatasetError as exc:
-        _diag(f"cannot load dataset: {exc}")
-        return EXIT_IO
+    dataset = load_dataset(Path(args.data) / "manifest.json", ("train",))
     try:
         checkpoint = train(dataset["train"], cfg)
     except NonFiniteLoss as exc:
@@ -175,8 +166,13 @@ def _oracle_predictions(data_dir: Path, samples):
     for sample in samples:
         latent_path = data_dir / meta["latent_paths"][sample.id]
         _, _, arr = core.read_container(latent_path)
+        if arr.shape != sample.image.shape:
+            raise core.ContainerError(
+                f"{latent_path}: latent {arr.shape} vs image {sample.image.shape}"
+            )
         latent = LatentField(core.Grid2D(np.asarray(arr, dtype=np.float64)))
-        preds.append(true_consensus_probability(latent, cfg))
+        # a NaN latent raises NonFiniteValues (exit 3), as a NaN pixel does in `predict`
+        preds.append(ForegroundProbMap.from_array(true_consensus_probability(latent, cfg)).data)
     return preds
 
 
@@ -203,11 +199,7 @@ def _eval_config(args) -> EvalConfig:
 
 def cmd_eval(args, cfg: EvalConfig) -> int:
     data_dir = Path(args.data)
-    try:
-        dataset = load_dataset(data_dir / "manifest.json", (args.split,))
-    except DatasetError as exc:
-        _diag(f"cannot load dataset: {exc}")
-        return EXIT_IO
+    dataset = load_dataset(data_dir / "manifest.json", (args.split,))
     samples = dataset[args.split]
     if not samples:
         _diag(f"split {args.split!r} is empty")
@@ -300,11 +292,7 @@ def _sweep_config(args) -> list[TrainConfig]:
 
 
 def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
-    try:
-        dataset = load_dataset(Path(args.data) / "manifest.json", ("train", "val"))
-    except DatasetError as exc:
-        _diag(f"cannot load dataset: {exc}")
-        return EXIT_IO
+    dataset = load_dataset(Path(args.data) / "manifest.json", ("train", "val"))
     if not dataset["train"] or not dataset["val"]:
         _diag("sweep needs nonempty train and val splits")
         return EXIT_IO
@@ -426,6 +414,12 @@ def main(argv=None) -> int:
     except SingleClassReference as exc:
         _diag(str(exc))
         return EXIT_UNDEFINED
+    except DatasetError as exc:
+        _diag(f"cannot load dataset: {exc}")
+        return EXIT_IO
+    except MemoryError as exc:
+        _diag(f"{args.command}: out of memory" + (f": {exc}" if str(exc) else ""))
+        return EXIT_IO
 
 
 if __name__ == "__main__":

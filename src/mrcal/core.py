@@ -10,7 +10,7 @@ this package writes to disk:
     then        ndim x u32 little-endian dims, slowest-varying first
     then        row-major payload
 
-u8 files loaded as probabilities are rescaled by value/255 (never reinterpreted
+u8 images are rescaled by value/255 when loaded (never reinterpreted
 bitwise).
 
 A RaterStack is one image's K rater masks as one read-only (K, H, W) uint8 array;
@@ -248,11 +248,6 @@ class RaterStack:
             raise ValueError("RaterStack values must all be 0 or 1")
         object.__setattr__(self, "masks", _freeze(arr))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "RaterStack":
-        """Build from a (K, H, W) array of {0,1} values."""
-        return cls(arr)
-
     @property
     def num_raters(self) -> int:
         return self.masks.shape[0]
@@ -454,21 +449,6 @@ def _image_grid(dtype: int, arr: np.ndarray) -> Grid2D:
     if dtype == DTYPE_U8:
         return Grid2D(arr.astype(np.float64) / 255.0)
     return Grid2D(arr.astype(np.float64))
-
-
-def read_image(path) -> Grid2D:
-    """Read a 2D image; u8 payloads are rescaled by value/255."""
-    return _image_grid(*_read_image_payload(path))
-
-
-def read_prob_map(path) -> ForegroundProbMap:
-    """Read a probability map; u8 payloads are rescaled by value/255."""
-    dtype, dims, arr = read_container(path)
-    if len(dims) != 2:
-        raise ContainerError(f"{path}: prob map must be 2D, got ndim={len(dims)}")
-    if dtype == DTYPE_U8:
-        arr = arr.astype(np.float64) / 255.0
-    return ForegroundProbMap.from_array(np.asarray(arr, dtype=np.float64))
 
 
 def parse_manifest(manifest_path) -> DatasetManifest:

@@ -264,8 +264,6 @@ def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> SoftLabelMap:
     sigma(v) = sigma * (0.25 + 0.75*d), so unanimous regions are barely
     smoothed and maximally ambiguous ones get the full kernel.
     """
-    if cfg.sigma <= 0:
-        raise ValueError("sigma must be > 0")
     pbar = fuse_soft(stack).data
     h, wdt = pbar.shape
     d = 4.0 * pbar * (1.0 - pbar)
@@ -290,23 +288,20 @@ def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> SoftLabelMap:
 
 
 def fuse(stack: RaterStack, cfg: FusionConfig, step: int = 0):
-    """Dispatch on cfg.method; returns a BinaryMask or SoftLabelMap.
-
-    STAPLE's rater performance estimate is not returned here; call
-    fuse_staple directly when it is needed.
-    """
-    if cfg.method == "rs":
-        return fuse_random_sampling(stack, cfg.rng_seed, step)
-    if cfg.method == "mc":
-        return fuse_median(stack)
-    if cfg.method == "sc":
-        return fuse_soft(stack)
-    if cfg.method == "scg":
-        return fuse_soft_gaussian(stack, cfg.sigma)
+    """Fuse by cfg.method: (BinaryMask or SoftLabelMap, STAPLE's
+    RaterPerformance or None for every other method)."""
     if cfg.method == "staple":
-        return fuse_staple(stack, cfg)[0]
+        return fuse_staple(stack, cfg)
+    if cfg.method == "rs":
+        return fuse_random_sampling(stack, cfg.rng_seed, step), None
+    if cfg.method == "mc":
+        return fuse_median(stack), None
+    if cfg.method == "sc":
+        return fuse_soft(stack), None
+    if cfg.method == "scg":
+        return fuse_soft_gaussian(stack, cfg.sigma), None
     if cfg.method == "simple":
-        return fuse_simple(stack, cfg)
+        return fuse_simple(stack, cfg), None
     if cfg.method == "svls":
-        return fuse_svls(stack, cfg)
+        return fuse_svls(stack, cfg), None
     raise ValueError(f"unknown fusion method {cfg.method!r}")

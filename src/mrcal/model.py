@@ -42,18 +42,16 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (  # noqa: F401  model.BLAS_THREAD_VARS and model.thread_cap stay importable
-    BLAS_THREAD_VARS,
+from .core import (
     DTYPE_F32,
     ForegroundProbMap,
     Grid2D,
     ordered_map,
     read_container,
-    thread_cap,
     write_container,
     write_together,
 )
-from .fusion import DegenerateStack, FusionConfig, fuse, fuse_staple
+from .fusion import DegenerateStack, FusionConfig, fuse
 from .ordinal import LossConfig, OrdinalProbMap, aggregate_foreground, hybrid_loss, orc_encode
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -394,10 +392,7 @@ def _fused_target(sample, cfg: TrainConfig, step: int):
     """The sample's fused target as float64, plus STAPLE's rater performance
     estimate (None for the other methods)."""
     try:
-        if cfg.fusion.method == "staple":
-            fused, perf = fuse_staple(sample.annotations, cfg.fusion)
-        else:
-            fused, perf = fuse(sample.annotations, cfg.fusion, step=step), None
+        fused, perf = fuse(sample.annotations, cfg.fusion, step=step)
     except DegenerateStack as exc:
         raise DegenerateStack(
             f"cannot fuse sample {sample.id!r} with {cfg.fusion.method}: {exc}"

@@ -74,13 +74,10 @@ class OrdinalProbMap:
 @dataclass
 class LossConfig:
     alpha: float = 0.8
-    reduction: str = "mean_over_voxels"
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError("alpha must be finite and >= 0")
-        if self.reduction != "mean_over_voxels":
-            raise ValueError(f"unknown reduction {self.reduction!r}")
 
 
 def orc_encode(stack: RaterStack) -> OrcMap:
@@ -95,7 +92,15 @@ def aggregate_foreground(probs: OrdinalProbMap) -> ForegroundProbMap:
     return ForegroundProbMap.from_array(mass)
 
 
-def _check_target(probs: OrdinalProbMap, target: OrcMap) -> None:
+def _loss_terms(probs: OrdinalProbMap, target: OrcMap, alpha: float):
+    """The loss kernel: (BCE, RPS, gradient of BCE + alpha*RPS w.r.t. the
+    pre-softmax logits), each reduced by an unweighted mean over voxels.
+
+    RPS is the mean squared gap between the predicted and the true cumulative
+    distributions over the K+1 levels; BCE scores the aggregated majority
+    mass against the majority-vote label. The gradient assumes probs =
+    softmax(logits) per voxel and chains through the softmax Jacobian.
+    """
     if target.num_raters != probs.num_raters:
         raise TargetOutOfRange(
             f"target K={target.num_raters} vs prediction K={probs.num_raters}"
@@ -104,49 +109,14 @@ def _check_target(probs: OrdinalProbMap, target: OrcMap) -> None:
         raise TargetOutOfRange(
             f"spatial shapes differ: {probs.shape} vs {target.data.shape}"
         )
-
-
-def _cumulative(probs: OrdinalProbMap, target: OrcMap):
-    """Predicted and ground-truth cumulative distributions, (K+1, H, W)."""
-    k = probs.num_raters
-    f_hat = np.cumsum(probs.levels, axis=0)
-    j = np.arange(k + 1).reshape(-1, 1, 1)
-    f_true = (j >= target.data[None]).astype(np.float64)
-    return f_true, f_hat
-
-
-def rps_loss(probs: OrdinalProbMap, target: OrcMap) -> float:
-    """Mean-over-voxels ranked probability score against the consensus level."""
-    _check_target(probs, target)
-    f_true, f_hat = _cumulative(probs, target)
-    per_voxel = ((f_true - f_hat) ** 2).mean(axis=0)
-    return float(per_voxel.mean())
-
-
-def bce_loss(probs: OrdinalProbMap, target: OrcMap) -> float:
-    """BCE of the aggregated foreground probability vs the majority-vote label."""
-    _check_target(probs, target)
-    t = majority_level(probs.num_raters)
-    p_hat = np.clip(probs.levels[t:].sum(axis=0), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    b = (target.data >= t).astype(np.float64)
-    loss = -(b * np.log(p_hat) + (1.0 - b) * np.log(1.0 - p_hat))
-    return float(loss.mean())
-
-
-def hybrid_loss(probs: OrdinalProbMap, target: OrcMap, cfg: LossConfig):
-    """Total loss BCE + alpha*RPS and its gradient w.r.t. pre-softmax logits.
-
-    Returns (scalar, gradient of shape (K+1, H, W)). The gradient assumes
-    probs = softmax(logits) per voxel and chains through the softmax
-    Jacobian; the per-voxel losses are reduced by an unweighted mean.
-    """
-    _check_target(probs, target)
     k = probs.num_raters
     n_voxels = probs.levels.shape[1] * probs.levels.shape[2]
     t = majority_level(k)
 
     # RPS value and gradient w.r.t. level probabilities
-    f_true, f_hat = _cumulative(probs, target)
+    f_hat = np.cumsum(probs.levels, axis=0)
+    j = np.arange(k + 1).reshape(-1, 1, 1)
+    f_true = (j >= target.data[None]).astype(np.float64)
     diff = f_hat - f_true
     rps = float((diff ** 2).mean(axis=0).mean())
     # d RPS / d p_k = (2/(K+1)) * sum_{j >= k} (F_hat_j - F_j)
@@ -165,8 +135,26 @@ def hybrid_loss(probs: OrdinalProbMap, target: OrcMap, cfg: LossConfig):
     g_bce = np.zeros_like(probs.levels)
     g_bce[t:] = d_bce[None]
 
-    g_p = g_bce + cfg.alpha * g_rps
+    g_p = g_bce + alpha * g_rps
     # softmax Jacobian: g_z = p * (g_p - sum_k g_p[k] * p[k])
     inner = (g_p * probs.levels).sum(axis=0, keepdims=True)
-    g_z = probs.levels * (g_p - inner)
-    return bce + cfg.alpha * rps, g_z
+    return bce, rps, probs.levels * (g_p - inner)
+
+
+def rps_loss(probs: OrdinalProbMap, target: OrcMap) -> float:
+    """Mean-over-voxels ranked probability score against the consensus level."""
+    return _loss_terms(probs, target, alpha=1.0)[1]
+
+
+def bce_loss(probs: OrdinalProbMap, target: OrcMap) -> float:
+    """BCE of the aggregated foreground probability vs the majority-vote label."""
+    return _loss_terms(probs, target, alpha=1.0)[0]
+
+
+def hybrid_loss(probs: OrdinalProbMap, target: OrcMap, cfg: LossConfig):
+    """Total loss BCE + alpha*RPS and its gradient w.r.t. pre-softmax logits.
+
+    Returns (scalar, gradient of shape (K+1, H, W)); see `_loss_terms`.
+    """
+    bce, rps, grad = _loss_terms(probs, target, cfg.alpha)
+    return bce + cfg.alpha * rps, grad

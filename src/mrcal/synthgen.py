@@ -225,6 +225,6 @@ def true_consensus_probability(latent: LatentField, cfg: SynthConfig) -> np.ndar
     s = latent.data
     sigma = effective_sigma(cfg)
     if sigma == 0.0:
-        return (s >= 0.5).astype(np.float64)
+        return np.heaviside(s - 0.5, 1.0)  # the step s >= 0.5, NaN kept as NaN
     z = (s - 0.5) / sigma
     return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))

@@ -46,7 +46,7 @@ def _samples_from_cfg(cfg, indices):
             Sample(
                 id=f"s{index:04d}",
                 image=Grid2D(image),
-                annotations=RaterStack.from_array(masks),
+                annotations=RaterStack(masks),
             )
         )
     return samples
@@ -174,14 +174,14 @@ def test_criterion_4_mr_ece_reduction():
         mask = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
         pred = rng.random((8, 8))
         v1, _ = mr_ece(
-            [pred], [RaterStack.from_array(mask[None])], EvalConfig()
+            [pred], [RaterStack(mask[None])], EvalConfig()
         )
         single = ece_single(pred, BinaryMask.from_array(mask), EvalConfig())
         worst = max(worst, abs(v1 - single))
         for k in (3, 6):
             vk, _ = mr_ece(
                 [pred],
-                [RaterStack.from_array(np.repeat(mask[None], k, axis=0))],
+                [RaterStack(np.repeat(mask[None], k, axis=0))],
                 EvalConfig(),
             )
             worst = max(worst, abs(vk - v1))
@@ -202,7 +202,7 @@ def test_criterion_5_oracle_calibration():
     for index in range(40):
         latent, _, masks = generate_sample(cfg, index)
         preds.append(true_consensus_probability(latent, cfg))
-        stacks.append(RaterStack.from_array(masks))
+        stacks.append(RaterStack(masks))
     value, _ = mr_ece(preds, stacks, EvalConfig(num_bins=15))
     elapsed = time.time() - start
     check(
@@ -220,11 +220,11 @@ def test_criterion_6_fusion_oracles():
     ok = True
 
     m = rng.integers(0, 2, size=(12, 12)).astype(np.uint8)
-    stack = RaterStack.from_array(np.stack([m, m, m]))
+    stack = RaterStack(np.stack([m, m, m]))
     soft, _ = fuse_staple(stack, FusionConfig(method="staple"))
     ok = ok and np.abs(soft.data - m).max() < 1e-3
 
-    noisy = RaterStack.from_array(rng.integers(0, 2, size=(4, 12, 12)).astype(np.uint8))
+    noisy = RaterStack(rng.integers(0, 2, size=(4, 12, 12)).astype(np.uint8))
     _, _, trace = fuse_staple(noisy, FusionConfig(method="staple"), track_likelihood=True)
     ok = ok and np.diff(trace).min() > -1e-9
 
@@ -236,7 +236,7 @@ def test_criterion_6_fusion_oracles():
         good.append(flip)
     outlier = np.zeros_like(base)
     fused = fuse_simple(
-        RaterStack.from_array(np.stack(good + [outlier])),
+        RaterStack(np.stack(good + [outlier])),
         FusionConfig(method="simple"),
     )
     votes = np.stack(good).sum(axis=0)

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env
+from mrcal import fusion
 from mrcal.cli import _parse_grid, main
 from mrcal.model import Checkpoint
 from mrcal.core import read_container, write_container
@@ -123,6 +124,24 @@ class TestFuse:
         )
         assert code == 1
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "message", ["", "Unable to allocate 447. GiB for an array"], ids=["bare", "numpy"]
+    )
+    def test_out_of_memory_is_one_line(self, capsys, dataset, tmp_path, monkeypatch, message):
+        def no_memory(sigma):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(fusion, "gaussian_kernel_1d", no_memory)
+        code, out, err = run_cli(
+            capsys,
+            "fuse", "--data", str(dataset), "--method", "scg",
+            "--out", str(tmp_path / "fused"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fuse: out of memory") and message in err
+        assert err.count("\n") == 1
 
 
 class TestTrainEval:
@@ -424,6 +443,31 @@ class TestTrainEval:
         assert code == 1
         assert out == ""
         assert err.startswith("cannot load model/predictions:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", ["shape", "nan"])
+    def test_bad_oracle_latent(self, capsys, dataset, tmp_path, edit):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        meta = json.loads((data / "synth_meta.json").read_text())
+        entry = next(s for s in manifest["samples"] if s["split"] == "test")
+        latent_path = data / meta["latent_paths"][entry["id"]]
+        dtype, dims, latent = read_container(latent_path)
+        if edit == "shape":
+            write_container(dtype, (8, 8), latent[:8, :8], latent_path)
+        else:
+            latent = np.array(latent)
+            latent[2, 3] = np.nan
+            write_container(dtype, dims, latent, latent_path)
+        code, out, err = run_cli(capsys, "eval", "--model", "oracle", "--data", str(data))
+        if edit == "shape":
+            assert code == 1
+            assert err.startswith(f"cannot load model/predictions: {latent_path}: ")
+        else:
+            assert code == 3
+            assert err.startswith("non-finite predictions:")
+        assert out == ""
         assert err.count("\n") == 1
 
     def test_wrong_shape_sidecar_is_io_error(self, capsys, dataset, tmp_path):

@@ -33,7 +33,6 @@ from mrcal.core import (
     parse_manifest,
     read_container,
     read_mask,
-    read_prob_map,
     write_container,
 )
 
@@ -116,10 +115,14 @@ def test_round_trip_all_ndims(tmp_path, dims):
 
 
 def test_u8_prob_rescale_rule(tmp_path):
-    path = tmp_path / "p.mrc"
-    write_container(DTYPE_U8, (1, 2), [0, 255], path)
-    pm = read_prob_map(path)
-    np.testing.assert_allclose(pm.data, [[0.0, 1.0]])
+    # a u8 image loads as value/255, not reinterpreted bitwise
+    path = _write_dataset(tmp_path, n=1)
+    pixels = np.arange(0, 256, 17, dtype=np.uint8).reshape(4, 4)
+    write_container(DTYPE_U8, pixels.shape, pixels, tmp_path / "s0_img.mrc")
+    image = load_dataset(path)["train"][0].image.data
+    assert image.dtype == np.float64
+    np.testing.assert_array_equal(image, pixels.astype(np.float64) / 255.0)
+    assert (image[0, 0], image[-1, -1]) == (0.0, 1.0)
 
 
 def test_grid_invariants():
@@ -416,18 +419,18 @@ def test_load_dataset_bad_json(tmp_path):
 
 def test_rater_stack_rejects_malformed_arrays():
     with pytest.raises(ValueError, match=r"\(2, 2\)"):
-        RaterStack.from_array(np.zeros((2, 2), dtype=np.uint8))
+        RaterStack(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError, match=r"\(0, 2, 2\)"):
-        RaterStack.from_array(np.zeros((0, 2, 2), dtype=np.uint8))
+        RaterStack(np.zeros((0, 2, 2), dtype=np.uint8))
     arr = np.zeros((3, 2, 2), dtype=np.uint8)
     arr[1, 0, 1] = 2
     with pytest.raises(ValueError, match="0 or 1"):
-        RaterStack.from_array(arr)
+        RaterStack(arr)
 
 
 def test_rater_stack_is_one_read_only_array():
     arr = np.array([[[1, 0, 0]], [[1, 1, 0]], [[0, 0, 0]], [[0, 1, 1]]], dtype=np.uint8)
-    stack = RaterStack.from_array(arr)
+    stack = RaterStack(arr)
     arr[0, 0, 0] = 0  # the stack keeps its own copy
     assert stack.num_raters == 4 and stack.shape == (1, 3)
     assert stack.as_array() is stack.as_array()

@@ -9,8 +9,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from mrcal.core import RaterStack
 from mrcal.fusion import (
+    METHODS,
     DegenerateStack,
     FusionConfig,
+    RaterPerformance,
+    fuse,
     fuse_median,
     fuse_random_sampling,
     fuse_simple,
@@ -25,11 +28,11 @@ from mrcal.ordinal import orc_encode
 
 
 def stack_from(arrs) -> RaterStack:
-    return RaterStack.from_array(np.array(arrs, dtype=np.uint8))
+    return RaterStack(np.array(arrs, dtype=np.uint8))
 
 
 def random_stack(rng, k=3, shape=(8, 8)) -> RaterStack:
-    return RaterStack.from_array(rng.integers(0, 2, size=(k, *shape)).astype(np.uint8))
+    return RaterStack(rng.integers(0, 2, size=(k, *shape)).astype(np.uint8))
 
 
 class TestRandomSampling:
@@ -103,7 +106,7 @@ class TestSoft:
         )
     )
     def test_equals_votes_over_k_exactly(self, arr):
-        stack = RaterStack.from_array(arr)
+        stack = RaterStack(arr)
         soft = fuse_soft(stack).data
         assert np.array_equal(soft, stack.votes() / stack.num_raters)
         assert np.array_equal(soft, arr.mean(axis=0, dtype=np.float64))
@@ -269,7 +272,7 @@ class TestStapleHistogram:
         ]
         for arr in cases:
             soft, perf, trace = fuse_staple(
-                RaterStack.from_array(arr), FusionConfig(method="staple"), track_likelihood=True
+                RaterStack(arr), FusionConfig(method="staple"), track_likelihood=True
             )
             w, sens, spec, iters = _staple_voxel_reference(arr)
             assert np.abs(soft.data - w).max() < 1e-10
@@ -282,7 +285,7 @@ class TestStapleHistogram:
         rng = np.random.default_rng(7)
         arr = _noisy_raters(rng, 9, (20, 20))
         cfg = FusionConfig(method="staple", staple_max_iters=max_iters, staple_tol=1e-12)
-        _, _, trace = fuse_staple(RaterStack.from_array(arr), cfg, track_likelihood=True)
+        _, _, trace = fuse_staple(RaterStack(arr), cfg, track_likelihood=True)
         assert len(trace) - 1 == _staple_voxel_reference(arr, max_iters, 1e-12)[3]
         assert len(trace) - 1 <= max_iters
         assert np.all(np.isfinite(trace))
@@ -292,7 +295,7 @@ class TestStapleHistogram:
         rng = np.random.default_rng(8)
         arr = _noisy_raters(rng, 5, (12, 12))
         cfg = FusionConfig(method="staple", staple_max_iters=1)
-        _, _, trace = fuse_staple(RaterStack.from_array(arr), cfg, track_likelihood=True)
+        _, _, trace = fuse_staple(RaterStack(arr), cfg, track_likelihood=True)
         y = arr.reshape(5, -1).astype(np.float64)
         prior = y.mean()
         per_voxel = np.logaddexp(
@@ -309,7 +312,7 @@ class TestStapleHistogram:
             _noisy_raters(rng, 1000, (12, 12)),
         ):
             soft, perf, trace = fuse_staple(
-                RaterStack.from_array(arr), FusionConfig(method="staple"), track_likelihood=True
+                RaterStack(arr), FusionConfig(method="staple"), track_likelihood=True
             )
             assert np.isfinite(soft.data).all()
             assert soft.data.min() >= 0.0 and soft.data.max() <= 1.0
@@ -405,13 +408,37 @@ class TestSvls:
 
 
 class TestSharedInvariants:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fuse_matches_direct_function(self, method):
+        stack = random_stack(np.random.default_rng(40), k=5, shape=(12, 10))
+        cfg = FusionConfig(method=method, sigma=1.5, rng_seed=9)
+        direct = {
+            "rs": lambda: fuse_random_sampling(stack, 9, 3),
+            "mc": lambda: fuse_median(stack),
+            "sc": lambda: fuse_soft(stack),
+            "scg": lambda: fuse_soft_gaussian(stack, 1.5),
+            "staple": lambda: fuse_staple(stack, cfg)[0],
+            "simple": lambda: fuse_simple(stack, cfg),
+            "svls": lambda: fuse_svls(stack, cfg),
+        }[method]()
+        fused, perf = fuse(stack, cfg, step=3)
+        assert type(fused) is type(direct)
+        assert fused.data.dtype == direct.data.dtype
+        assert fused.data.shape == direct.data.shape
+        assert fused.data.tobytes() == direct.data.tobytes()
+        if method == "staple":
+            assert isinstance(perf, RaterPerformance)
+            assert perf == fuse_staple(stack, cfg)[1]
+        else:
+            assert perf is None
+
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_permutation_invariance(self, k):
         rng = np.random.default_rng(20 + k)
         arr = rng.integers(0, 2, size=(k, 8, 8)).astype(np.uint8)
-        stack = RaterStack.from_array(arr)
+        stack = RaterStack(arr)
         perm = rng.permutation(k)
-        permuted = RaterStack.from_array(arr[perm])
+        permuted = RaterStack(arr[perm])
         cfg = FusionConfig(method="staple")
         np.testing.assert_array_equal(fuse_median(stack).data, fuse_median(permuted).data)
         np.testing.assert_allclose(fuse_soft(stack).data, fuse_soft(permuted).data)

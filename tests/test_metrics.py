@@ -19,7 +19,7 @@ from mrcal.metrics import (
 
 
 def stack_from(arr) -> RaterStack:
-    return RaterStack.from_array(np.asarray(arr, dtype=np.uint8))
+    return RaterStack(np.asarray(arr, dtype=np.uint8))
 
 
 class TestMrEce:

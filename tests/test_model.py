@@ -7,7 +7,7 @@ import pytest
 
 from mrcal.core import Grid2D, RaterStack, Sample
 from mrcal.fusion import FusionConfig
-from mrcal import fusion, model
+from mrcal import core, fusion, model
 from mrcal.model import (
     BAND_PIXELS,
     ArchitectureMismatch,
@@ -35,7 +35,7 @@ def make_samples(n, rng, k=3, size=12):
             Sample(
                 id=f"s{i:03d}",
                 image=Grid2D(img),
-                annotations=RaterStack.from_array(masks),
+                annotations=RaterStack(masks),
             )
         )
     return samples
@@ -325,23 +325,23 @@ class TestBandThreads:
 
     def test_auto_divides_usable_cpus_by_blas_threads(self, monkeypatch):
         monkeypatch.setenv("MRCAL_THREADS", "0")
-        for var in model.BLAS_THREAD_VARS:
+        for var in core.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert model.thread_cap() == 1  # unpinned BLAS uses all 8 CPUs itself
+        assert core.thread_cap() == 1  # unpinned BLAS uses all 8 CPUs itself
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert model.thread_cap() == 8
+        assert core.thread_cap() == 8
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # read before OMP_NUM_THREADS
-        assert model.thread_cap() == 2
+        assert core.thread_cap() == 2
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "16")
-        assert model.thread_cap() == 1
+        assert core.thread_cap() == 1
         # macOS and Windows have no sched_getaffinity: the CPU count stands in
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert model.thread_cap() == 6
+        assert core.thread_cap() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert model.thread_cap() == 1
+        assert core.thread_cap() == 1
 
 
 class TestTraining:
@@ -415,7 +415,6 @@ class TestTraining:
             return real(stack, cfg, *args, **kwargs)
 
         monkeypatch.setattr(fusion, "fuse_staple", counting)
-        monkeypatch.setattr(model, "fuse_staple", counting)
         cfg = TrainConfig(loss="bce_vs_fused", fusion=FusionConfig(method="staple"), epochs=2)
         ckpt = train(samples, cfg)
         assert len(calls) == len(samples)

@@ -38,19 +38,19 @@ def random_probs(rng, k, shape) -> OrdinalProbMap:
 
 class TestOrcEncode:
     def test_vote_sum(self):
-        stack = RaterStack.from_array(
+        stack = RaterStack(
             np.array([[[1]], [[0]], [[1]]], dtype=np.uint8)
         )
         assert orc_encode(stack).data[0, 0] == 2
 
     def test_full_agreement(self):
-        stack = RaterStack.from_array(np.ones((7, 3, 3), dtype=np.uint8))
+        stack = RaterStack(np.ones((7, 3, 3), dtype=np.uint8))
         assert (orc_encode(stack).data == 7).all()
 
     def test_against_double_loop(self):
         rng = np.random.default_rng(1)
         arr = rng.integers(0, 2, size=(4, 6, 5)).astype(np.uint8)
-        stack = RaterStack.from_array(arr)
+        stack = RaterStack(arr)
         encoded = orc_encode(stack).data
         for i in range(6):
             for j in range(5):
@@ -222,7 +222,8 @@ class TestHybrid:
         # divides by h: rest >= 1e-5 keeps that under 1e-6.
         assume(not np.isclose(p_hat, PROB_CLAMP, rtol=1e-3).any())
         assume(not ((rest > PROB_CLAMP * (1.0 - 1e-3)) & (rest < 1e-5)).any())
-        _, grad = hybrid_loss(probs, target, cfg)
+        loss, grad = hybrid_loss(probs, target, cfg)
+        assert loss == bce_loss(probs, target) + cfg.alpha * rps_loss(probs, target)
         num = _fd_logit_grad(z, target, cfg)
         # relative error, or absolute error 1e-6 below the floor
         denom = np.maximum(np.abs(num), 1e-2)

@@ -123,9 +123,9 @@ class TestOracle:
 
     def test_zero_sigma_is_step(self):
         cfg = SynthConfig(rater_bias_std=0.0, rater_noise_std=0.0)
-        lat = LatentField(Grid2D(np.array([[0.2, 0.5, 0.8]])))
+        lat = LatentField(Grid2D(np.array([[0.2, 0.5, 0.8, np.nan]])))
         np.testing.assert_array_equal(
-            true_consensus_probability(lat, cfg), [[0.0, 1.0, 1.0]]
+            true_consensus_probability(lat, cfg), [[0.0, 1.0, 1.0, np.nan]]
         )
 
     def test_monotone_in_latent(self):
