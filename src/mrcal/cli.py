@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import core, metrics, model, synthgen
-from .core import DatasetError, ForegroundProbMap, load_dataset
-from .fusion import METHODS, DegenerateStack, FusionConfig, SoftLabelMap, fuse
+from .core import BinaryMask, DatasetError, ForegroundProbMap, load_dataset
+from .fusion import METHODS, DegenerateStack, FusionConfig, fuse
 from .metrics import EvalConfig, SingleClassReference, bootstrap_eval, mr_ece, reliability_csv
 from .model import Checkpoint, NonFiniteLoss, TrainConfig, predict, train
-from .synthgen import LatentField, SynthConfig, generate, true_consensus_probability
+from .synthgen import SynthConfig, generate, true_consensus_probability
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -96,7 +96,7 @@ def cmd_fuse(args, cfg: FusionConfig) -> int:
                     _diag(f"cannot fuse sample {sample.id!r} with {args.method}: {exc}")
                     return EXIT_IO
                 path = out_dir / f"{sample.id}_{args.method}.mrc"
-                dtype = core.DTYPE_F32 if isinstance(fused, SoftLabelMap) else core.DTYPE_U8
+                dtype = core.DTYPE_U8 if isinstance(fused, BinaryMask) else core.DTYPE_F32
                 core.write_container(dtype, fused.data.shape, fused.data, path)
                 sidecar = {
                     "method": args.method,
@@ -119,23 +119,19 @@ def cmd_fuse(args, cfg: FusionConfig) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    if args.loss == "rps":
-        return TrainConfig(
-            loss="hybrid_rps",
-            alpha=args.alpha,
-            lr=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
+    """`--loss rps` trains the ordinal head and ignores `--sigma`; every other
+    loss trains against that fusion method's targets."""
+    rps = args.loss == "rps"
     return TrainConfig(
-        loss="bce_vs_fused",
+        loss="hybrid_rps" if rps else "bce_vs_fused",
         alpha=args.alpha,
         lr=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
-        fusion=FusionConfig(method=args.loss, sigma=args.sigma, rng_seed=args.seed),
+        fusion=FusionConfig() if rps else FusionConfig(
+            method=args.loss, sigma=args.sigma, rng_seed=args.seed
+        ),
     )
 
 
@@ -170,9 +166,9 @@ def _oracle_predictions(data_dir: Path, samples):
             raise core.ContainerError(
                 f"{latent_path}: latent {arr.shape} vs image {sample.image.shape}"
             )
-        latent = LatentField(core.Grid2D(np.asarray(arr, dtype=np.float64)))
+        q = true_consensus_probability(np.asarray(arr, dtype=np.float64), cfg)
         # a NaN latent raises NonFiniteValues (exit 3), as a NaN pixel does in `predict`
-        preds.append(ForegroundProbMap.from_array(true_consensus_probability(latent, cfg)).data)
+        preds.append(ForegroundProbMap.from_array(q).data)
     return preds
 
 

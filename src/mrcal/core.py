@@ -23,6 +23,7 @@ result comes back in item order, so no output depends on the thread count.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -420,30 +421,6 @@ def read_container(path):
     return dtype, dims, arr
 
 
-def read_mask(path) -> BinaryMask:
-    dtype, dims, arr = read_container(path)
-    if len(dims) != 2:
-        raise ContainerError(f"{path}: mask must be 2D, got ndim={len(dims)}")
-    # a float payload is checked before the uint8 cast could hide e.g. 0.5
-    if dtype != DTYPE_U8 and not _all_binary(arr):
-        raise ContainerError(f"{path}: mask values must all be 0 or 1")
-    try:
-        return BinaryMask.from_array(arr)
-    except ValueError as exc:
-        raise ContainerError(f"{path}: {exc}") from exc
-
-
-def _read_image_payload(path):
-    """An image file's dtype code and its 2D payload as stored, validated
-    but not converted."""
-    dtype, dims, arr = read_container(path)
-    if len(dims) != 2:
-        raise ContainerError(f"{path}: image must be 2D, got ndim={len(dims)}")
-    if 0 in dims:
-        raise ContainerError(f"{path}: image dims must be positive, got {dims}")
-    return dtype, arr
-
-
 def _image_grid(dtype: int, arr: np.ndarray) -> Grid2D:
     """The float64 image of a stored payload; u8 is rescaled by value/255."""
     if dtype == DTYPE_U8:
@@ -485,13 +462,34 @@ def parse_manifest(manifest_path) -> DatasetManifest:
     return manifest
 
 
-def _read_dataset_file(reader, path):
+# errnos for which a dataset file counts as absent, as for `Path.exists()`
+_ABSENT_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
+
+def _read_dataset_file(path, kind: str):
+    """The dtype code and 2D payload, as stored, of one dataset file.
+
+    Each failure is a DatasetError naming the file: MissingFile when it is
+    absent (also through a NUL byte in the path, or a regular file part-way
+    along it), UnreadableFile when it cannot be read (a directory, no
+    permission), CorruptFile when it is not an MRC1 container of a 2D array
+    with positive dims.
+    """
     try:
-        return reader(path)
+        dtype, dims, arr = read_container(path)
+    except ValueError as exc:  # open() rejects a NUL byte or an unencodable path
+        raise MissingFile(str(path)) from exc
     except ContainerError as exc:
         raise CorruptFile(str(exc)) from exc
     except OSError as exc:
+        if exc.errno in _ABSENT_ERRNOS:
+            raise MissingFile(str(path)) from exc
         raise UnreadableFile(f"{path}: {exc.strerror or exc}") from exc
+    if len(dims) != 2:
+        raise CorruptFile(f"{path}: {kind} must be 2D, got ndim={len(dims)}")
+    if 0 in dims:
+        raise CorruptFile(f"{path}: {kind} dims must be positive, got {dims}")
+    return dtype, arr
 
 
 def load_dataset(manifest_path, splits=SPLITS) -> dict[str, list[Sample]]:
@@ -513,22 +511,20 @@ def load_dataset(manifest_path, splits=SPLITS) -> dict[str, list[Sample]]:
                 f"sample {entry.id!r} lists {len(entry.rater_paths)} rater paths, "
                 f"manifest declares K={manifest.num_raters}"
             )
-        image_file = root / entry.image_path
-        if not image_file.exists():
-            raise MissingFile(str(image_file))
-        dtype, pixels = _read_dataset_file(_read_image_payload, image_file)
+        dtype, pixels = _read_dataset_file(root / entry.image_path, "image")
         masks = np.empty((manifest.num_raters, *pixels.shape), dtype=np.uint8)
         for r, rp in enumerate(entry.rater_paths):
             rater_file = root / rp
-            if not rater_file.exists():
-                raise MissingFile(str(rater_file))
-            mask = _read_dataset_file(read_mask, rater_file)
+            _, mask = _read_dataset_file(rater_file, "mask")
+            # checked before the uint8 cast below, which would hide e.g. 0.5
+            if not _all_binary(mask):
+                raise CorruptFile(f"{rater_file}: mask values must all be 0 or 1")
             if mask.shape != pixels.shape:
                 raise DimensionMismatch(
                     f"sample {entry.id!r}: image {pixels.shape} vs rater mask "
                     f"{mask.shape} ({rp})"
                 )
-            masks[r] = mask.data
+            masks[r] = mask
         if entry.split in splits:
             image = _image_grid(dtype, pixels)  # dropped splits skip the float64 copy
             out[entry.split].append(Sample(id=entry.id, image=image, annotations=RaterStack(masks)))

@@ -21,34 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryMask, Grid2D, RaterStack, majority_level
+from .core import BinaryMask, ForegroundProbMap, RaterStack, majority_level
 
 METHODS = ("rs", "mc", "sc", "scg", "staple", "simple", "svls")
+
+# Gaussian kernels reach ceil(3*sigma) voxels and svls loops over every offset
+# of that radius, (6*sigma+1)**2 of them: 16 gives radius 48 and 9,409 offsets
+MAX_SIGMA = 16.0
 
 
 class DegenerateStack(ValueError):
     """Raised when a method is undefined on a stack: too few raters, or no
     foreground/background contrast at all."""
-
-
-@dataclass(frozen=True)
-class SoftLabelMap:
-    """Per-voxel soft supervision target in [0,1]."""
-
-    grid: Grid2D
-
-    def __post_init__(self):
-        vals = self.grid.data
-        if vals.min() < 0.0 or vals.max() > 1.0:
-            raise ValueError("SoftLabelMap values must lie in [0,1]")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "SoftLabelMap":
-        return cls(Grid2D(np.asarray(arr, dtype=np.float64)))
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.grid.data
 
 
 @dataclass(frozen=True)
@@ -75,8 +59,8 @@ class FusionConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be finite and > 0")
+        if not 0 < self.sigma <= MAX_SIGMA:
+            raise ValueError(f"sigma must be > 0 and at most {MAX_SIGMA}, got {self.sigma!r}")
         # svls divides by 2*s*s for widths s down to sigma/4 (the Gaussian
         # kernel by 2*sigma**2, never smaller); 0 there gives NaN weights
         if 2.0 * (0.25 * self.sigma) * (0.25 * self.sigma) == 0.0:
@@ -105,9 +89,9 @@ def fuse_median(stack: RaterStack) -> BinaryMask:
     return BinaryMask.from_array(stack.majority())
 
 
-def fuse_soft(stack: RaterStack) -> SoftLabelMap:
+def fuse_soft(stack: RaterStack) -> ForegroundProbMap:
     """Per-voxel mean of the K binary votes."""
-    return SoftLabelMap.from_array(stack.votes() / stack.num_raters)
+    return ForegroundProbMap.from_array(stack.votes() / stack.num_raters)
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -139,12 +123,11 @@ def gaussian_smooth(arr: np.ndarray, sigma: float) -> np.ndarray:
     return gaussian_filter_valid(np.pad(arr, len(g) // 2, mode="symmetric"), g)
 
 
-def fuse_soft_gaussian(stack: RaterStack, sigma: float) -> SoftLabelMap:
+def fuse_soft_gaussian(stack: RaterStack, sigma: float) -> ForegroundProbMap:
     """Soft consensus smoothed by a normalized Gaussian of std sigma."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    smoothed = gaussian_smooth(fuse_soft(stack).data, sigma)
-    return SoftLabelMap.from_array(np.clip(smoothed, 0.0, 1.0))
+    return ForegroundProbMap.from_array(gaussian_smooth(fuse_soft(stack).data, sigma))
 
 
 def _staple_log_ab(patterns, prior, sens, spec):
@@ -168,7 +151,7 @@ def fuse_staple(
     result is scattered back to the voxels. The E-step stays in the log
     domain, so no K-term product underflows at large K.
 
-    Returns (SoftLabelMap, RaterPerformance), or a third element with the
+    Returns (ForegroundProbMap, RaterPerformance), or a third element with the
     per-iteration log-likelihood trace when track_likelihood is set.
     """
     if stack.num_raters < 2:
@@ -211,7 +194,7 @@ def fuse_staple(
         log_a, log_b = _staple_log_ab(y, prior, sens, spec)
         trace.append(float((c * np.logaddexp(log_a, log_b)).sum()))
 
-    soft = SoftLabelMap.from_array(w[inverse].reshape(arr.shape[1:]))
+    soft = ForegroundProbMap.from_array(w[inverse].reshape(arr.shape[1:]))
     perf = RaterPerformance(sensitivity=tuple(sens), specificity=tuple(spec))
     if track_likelihood:
         return soft, perf, trace
@@ -257,7 +240,7 @@ def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
     return BinaryMask.from_array(fused)
 
 
-def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> SoftLabelMap:
+def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> ForegroundProbMap:
     """Spatially varying smoothing of the soft consensus.
 
     Local disagreement d = 4*p*(1-p) sets a per-voxel kernel width
@@ -284,11 +267,11 @@ def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> SoftLabelMap:
             shifted = padded[radius + di : radius + di + h, radius + dj : radius + dj + wdt]
             num += weight * shifted
             den += weight
-    return SoftLabelMap.from_array(np.clip(num / den, 0.0, 1.0))
+    return ForegroundProbMap.from_array(num / den)
 
 
 def fuse(stack: RaterStack, cfg: FusionConfig, step: int = 0):
-    """Fuse by cfg.method: (BinaryMask or SoftLabelMap, STAPLE's
+    """Fuse by cfg.method: (BinaryMask or ForegroundProbMap, STAPLE's
     RaterPerformance or None for every other method)."""
     if cfg.method == "staple":
         return fuse_staple(stack, cfg)

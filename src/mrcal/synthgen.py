@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DTYPE_F32, DTYPE_U8, Grid2D, ordered_map, write_container
+from .core import DTYPE_F32, DTYPE_U8, ordered_map, write_container
 from .fusion import gaussian_filter_valid, gaussian_kernel_1d
 
 NOISE_SMOOTH_SIGMA = 1.0
@@ -61,15 +61,6 @@ class SynthConfig:
         for name in ("rater_bias_std", "rater_noise_std"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class LatentField:
-    grid: Grid2D
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.grid.data
 
 
 def smoothed_noise_std_factor() -> float:
@@ -108,7 +99,9 @@ def _smoothed_noise(rng: np.random.Generator, size: int, std: float) -> np.ndarr
 
 
 def generate_sample(cfg: SynthConfig, index: int):
-    """One (latent, image, rater masks) triple; RNG stream keyed by (seed, index)."""
+    """One (latent, image, rater masks) triple of arrays: the float64 latent
+    and image (H, W) and the uint8 masks (K, H, W). The RNG stream is keyed
+    by (seed, index)."""
     return _sample(cfg, index)
 
 
@@ -129,7 +122,7 @@ def _sample(cfg: SynthConfig, index: int):
         else:
             eps = 0.0
         masks.append((s + bias + eps >= 0.5).astype(np.uint8))
-    return LatentField(Grid2D(s)), image, np.stack(masks)
+    return s, image, np.stack(masks)
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
@@ -178,7 +171,7 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
                 write_container(DTYPE_U8, masks[r].shape, masks[r], out_dir / rp)
                 rater_paths.append(rp)
             latent_path = f"latents/{sample_id}.mrc"
-            write_container(DTYPE_F32, latent.data.shape, latent.data, out_dir / latent_path)
+            write_container(DTYPE_F32, latent.shape, latent, out_dir / latent_path)
             latent_paths[sample_id] = latent_path
             entries.append(
                 {
@@ -220,11 +213,11 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
 _erf = np.vectorize(math.erf)
 
 
-def true_consensus_probability(latent: LatentField, cfg: SynthConfig) -> np.ndarray:
-    """Analytic P(a random rater labels v foreground) = Phi((s-0.5)/sigma_eff)."""
-    s = latent.data
+def true_consensus_probability(latent: np.ndarray, cfg: SynthConfig) -> np.ndarray:
+    """Analytic P(a random rater labels v foreground) = Phi((s-0.5)/sigma_eff)
+    for the latent field s, a float array."""
     sigma = effective_sigma(cfg)
     if sigma == 0.0:
-        return np.heaviside(s - 0.5, 1.0)  # the step s >= 0.5, NaN kept as NaN
-    z = (s - 0.5) / sigma
+        return np.heaviside(latent - 0.5, 1.0)  # the step s >= 0.5, NaN kept as NaN
+    z = (latent - 0.5) / sigma
     return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))

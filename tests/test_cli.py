@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,11 @@ from conftest import child_env
 from mrcal import fusion
 from mrcal.cli import _parse_grid, main
 from mrcal.model import Checkpoint
-from mrcal.core import read_container, write_container
+from mrcal.core import (
+    DTYPE_F32, DTYPE_U8, BinaryMask, ForegroundProbMap, load_dataset, read_container,
+    write_container,
+)
+from mrcal.fusion import METHODS
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +129,22 @@ class TestFuse:
         )
         assert code == 1
         assert err != ""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_target_type_sets_container_dtype(self, capsys, dataset, tmp_path, method):
+        # hard masks are written as u8, [0,1] maps as f32
+        binary = method in ("rs", "mc", "simple")
+        sample = load_dataset(dataset / "manifest.json")["train"][0]
+        fused, _ = fusion.fuse(sample.annotations, fusion.FusionConfig(method=method))
+        assert type(fused) is (BinaryMask if binary else ForegroundProbMap)
+        code, _, _ = run_cli(
+            capsys,
+            "fuse", "--data", str(dataset), "--method", method, "--seed", "0",
+            "--out", str(tmp_path / "fused"),
+        )
+        assert code == 0
+        dtype, _, _ = read_container(tmp_path / "fused" / f"{sample.id}_{method}.mrc")
+        assert dtype == (DTYPE_U8 if binary else DTYPE_F32)
 
     @pytest.mark.parametrize(
         "message", ["", "Unable to allocate 447. GiB for an array"], ids=["bare", "numpy"]
@@ -354,6 +375,34 @@ class TestTrainEval:
         assert out == ""
         assert err.startswith("cannot load dataset:")
         assert str(mask_path) in err and "0 or 1" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case", ["missing", "nul byte", "through a file", "wrong ndim", "zero dim", "f32 half"]
+    )
+    def test_bad_mask_is_one_line(self, capsys, dataset, tmp_path, case):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        rater_paths = manifest["samples"][0]["rater_paths"]
+        mask_path = data / rater_paths[1]
+        if case == "missing":
+            mask_path.unlink()
+        elif case == "nul byte":
+            rater_paths[1] += "\0"
+        elif case == "through a file":
+            rater_paths[1] += "/x"
+        elif case == "wrong ndim":
+            write_container(DTYPE_U8, (1, 16, 16), np.zeros(256), mask_path)
+        elif case == "zero dim":
+            mask_path.write_bytes(b"MRC1" + struct.pack("<BBH2I", DTYPE_U8, 2, 0, 0, 16))
+        else:
+            write_container(DTYPE_F32, (16, 16), np.full((16, 16), 0.5), mask_path)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, *_load_argv("fuse", data, tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot load dataset:") and str(data / rater_paths[1]) in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("field", ["image_path", "rater_paths"])
@@ -612,6 +661,9 @@ INVALID_CONFIGS = [
     ["fuse", "--data", "{tmp}/none", "--out", "{tmp}/f", "--sigma", "1e-300", "--method", "scg"],
     ["train", "--data", "{tmp}/none", "--loss", "scg", "--out", "{tmp}/m.mrc", "--sigma", "1e-300"],
     ["train", "--data", "{tmp}/none", "--out", "{tmp}/m.mrc", "--sigma", "1e-300", "--loss", "svls"],
+    # above fusion.MAX_SIGMA: svls would loop over 60,001**2 kernel offsets per sample
+    ["fuse", "--data", "{tmp}/none", "--method", "svls", "--out", "{tmp}/f", "--sigma", "1e4"],
+    ["train", "--data", "{tmp}/none", "--loss", "scg", "--out", "{tmp}/m.mrc", "--sigma", "1e4"],
     ["eval", "--model", "oracle", "--data", "{tmp}/none", "--seed", "-1"],
     ["sweep", "--data", "{tmp}/none", "--values", "nan"],
     ["sweep", "--data", "{tmp}/none", "--values", "0:1:1e-300"],
@@ -809,12 +861,12 @@ ARGV_FLAGS = {
     }),
     "fuse": (["--data", "{data}", "--method", "sc", "--out", "{tmp}/new"], {
         "--data": DATA, "--method": ["rs", "mc", "scg", "staple", "svls", "bogus"],
-        "--sigma": FLOATS, "--seed": SEEDS, "--out": OUTS,
+        "--sigma": FLOATS + ["1e4"], "--seed": SEEDS, "--out": OUTS,
     }),
     "train": (["--data", "{data}", "--loss", "rps", "--epochs", "1", "--out", "{tmp}/m.mrc"], {
         "--data": DATA, "--loss": ["rps", "sc", "staple", "rs", "bogus"], "--alpha": FLOATS,
         "--lr": FLOATS + ["1e300"], "--epochs": ["-1", "0", "1", "2", "abc"],
-        "--batch-size": INTS, "--sigma": FLOATS, "--seed": SEEDS, "--out": OUTS,
+        "--batch-size": INTS, "--sigma": FLOATS + ["1e4"], "--seed": SEEDS, "--out": OUTS,
     }),
     "eval": (["--model", "{model}", "--data", "{data}", "--bootstrap", "3"], {
         "--model": ["{model}", "oracle", "{data}", "{tmp}/file", "{tmp}/missing.mrc"],

@@ -1,3 +1,4 @@
+import errno
 import json
 import struct
 import threading
@@ -32,7 +33,6 @@ from mrcal.core import (
     ordered_map,
     parse_manifest,
     read_container,
-    read_mask,
     write_container,
 )
 
@@ -217,6 +217,62 @@ def test_load_dataset_directory_entry_is_unreadable(tmp_path):
     (tmp_path / "s1_r2.mrc").unlink()
     (tmp_path / "s1_r2.mrc").mkdir()
     with pytest.raises(UnreadableFile, match="s1_r2.mrc"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field", ["image_path", "rater_paths"])
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("missing", MissingFile),
+        ("nul byte", MissingFile),
+        ("through a file", MissingFile),
+        ("directory", UnreadableFile),
+        ("wrong ndim", CorruptFile),
+        ("zero dim", CorruptFile),
+        ("dim zero", CorruptFile),
+    ],
+)
+def test_load_dataset_error_contract(tmp_path, case, error, field):
+    path = _write_dataset(tmp_path)
+    # the image of sample s0, or its second rater mask
+    name = "s0_img.mrc" if field == "image_path" else "s0_r1.mrc"
+    target = tmp_path / name
+    if case == "missing":
+        target.unlink()
+    elif case == "nul byte":
+        name = name.replace(".", "\0.")
+    elif case == "through a file":
+        name += "/x"  # ENOTDIR: a regular file part-way along the path
+    elif case == "directory":
+        target.unlink()
+        target.mkdir()
+    elif case == "wrong ndim":
+        write_container(DTYPE_U8, (1, 4, 4), np.zeros(16), target)
+    else:  # a u8 header with one zero dim and an empty payload
+        dims = (0, 4) if case == "zero dim" else (4, 0)
+        target.write_bytes(b"MRC1" + struct.pack("<BBH2I", DTYPE_U8, 2, 0, *dims))
+    doc = json.loads(path.read_text())
+    if field == "image_path":
+        doc["samples"][0]["image_path"] = name
+    else:
+        doc["samples"][0]["rater_paths"][1] = name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as exc:
+        load_dataset(path)
+    assert str(tmp_path / name) in str(exc.value)
+
+
+def test_load_dataset_permission_denied_is_unreadable(tmp_path, monkeypatch):
+    # a directory on the path without search permission: open() raises EACCES
+    # (simulated, since root may open any file)
+    path = _write_dataset(tmp_path)
+
+    def no_permission(file):
+        raise PermissionError(errno.EACCES, "Permission denied", str(file))
+
+    monkeypatch.setattr(core, "read_container", no_permission)
+    with pytest.raises(UnreadableFile, match="s0_img.mrc: Permission denied"):
         load_dataset(path)
 
 
@@ -451,16 +507,19 @@ def test_rater_stack_is_one_read_only_array():
     ],
 )
 def test_read_mask_value_check(tmp_path, dtype, values, accepted):
-    path = tmp_path / "m.mrc"
-    write_container(dtype, (2, 2), np.array(values), path)
+    # a mask's values are checked as stored: the uint8 cast would turn 0.5 into 0
+    path = _write_dataset(tmp_path, n=1)
+    mask_path = tmp_path / "s0_r1.mrc"
+    values = np.tile(values, (2, 2))
+    write_container(dtype, values.shape, values, mask_path)
     if accepted:
-        mask = read_mask(path)
-        assert mask.data.dtype == np.uint8
-        np.testing.assert_array_equal(mask.data, values)
+        masks = load_dataset(path)["train"][0].annotations.as_array()
+        assert masks.dtype == np.uint8
+        np.testing.assert_array_equal(masks[1], values)
     else:
-        with pytest.raises(ContainerError, match="0 or 1") as exc:
-            read_mask(path)
-        assert str(path) in str(exc.value)
+        with pytest.raises(CorruptFile, match="0 or 1") as exc:
+            load_dataset(path)
+        assert str(mask_path) in str(exc.value)
 
 
 def test_manifest_without_raters_rejected(tmp_path):

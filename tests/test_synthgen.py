@@ -10,7 +10,6 @@ import pytest
 from conftest import child_env
 from mrcal.core import load_dataset, parse_manifest, read_container
 from mrcal.synthgen import (
-    LatentField,
     SynthConfig,
     effective_sigma,
     generate,
@@ -19,7 +18,6 @@ from mrcal.synthgen import (
     split_sizes,
     true_consensus_probability,
 )
-from mrcal.core import Grid2D
 from mrcal.ordinal import orc_encode
 
 
@@ -73,7 +71,7 @@ class TestSampleGeneration:
         cfg = SynthConfig()
         lat_a, img_a, masks_a = generate_sample(cfg, 7)
         lat_b, img_b, masks_b = generate_sample(cfg, 7)
-        np.testing.assert_array_equal(lat_a.data, lat_b.data)
+        np.testing.assert_array_equal(lat_a, lat_b)
         np.testing.assert_array_equal(img_a, img_b)
         np.testing.assert_array_equal(masks_a, masks_b)
 
@@ -86,7 +84,8 @@ class TestSampleGeneration:
     def test_latent_and_image_ranges(self):
         cfg = SynthConfig()
         lat, img, masks = generate_sample(cfg, 3)
-        assert lat.data.min() >= 0.0 and lat.data.max() <= 1.0
+        assert lat.dtype == np.float64 and lat.shape == img.shape
+        assert lat.min() >= 0.0 and lat.max() <= 1.0
         assert img.min() >= 0.0 and img.max() <= 1.0
         assert masks.dtype == np.uint8
         assert set(np.unique(masks)) <= {0, 1}
@@ -98,7 +97,7 @@ class TestSampleGeneration:
         for index in range(3):
             lat, _, masks = generate_sample(cfg, index)
             orc = masks.sum(axis=0)
-            far = np.abs(lat.data - 0.5) > 5 * sigma
+            far = np.abs(lat - 0.5) > 5 * sigma
             assert set(np.unique(orc[far])) <= {0, 3}
 
     def test_noise_monotonicity(self):
@@ -118,19 +117,19 @@ class TestSampleGeneration:
 class TestOracle:
     def test_latent_half_maps_to_half(self):
         cfg = SynthConfig()
-        lat = LatentField(Grid2D(np.full((4, 4), 0.5)))
+        lat = np.full((4, 4), 0.5)
         np.testing.assert_allclose(true_consensus_probability(lat, cfg), 0.5)
 
     def test_zero_sigma_is_step(self):
         cfg = SynthConfig(rater_bias_std=0.0, rater_noise_std=0.0)
-        lat = LatentField(Grid2D(np.array([[0.2, 0.5, 0.8, np.nan]])))
+        lat = np.array([[0.2, 0.5, 0.8, np.nan]])
         np.testing.assert_array_equal(
             true_consensus_probability(lat, cfg), [[0.0, 1.0, 1.0, np.nan]]
         )
 
     def test_monotone_in_latent(self):
         cfg = SynthConfig()
-        lat = LatentField(Grid2D(np.linspace(0, 1, 50).reshape(1, 50)))
+        lat = np.linspace(0, 1, 50).reshape(1, 50)
         q = true_consensus_probability(lat, cfg)[0]
         assert (np.diff(q) > 0).all()
 
@@ -193,7 +192,7 @@ class TestDatasetOutput:
             _, _, latent = read_container(tmp_path / "ds" / rel)
             index = int(sample_id[1:])
             expected, _, _ = generate_sample(cfg, index)
-            np.testing.assert_allclose(latent, expected.data, atol=1e-7)
+            np.testing.assert_allclose(latent, expected, atol=1e-7)
 
     def test_split_counts_match_policy(self, tmp_path):
         cfg = SynthConfig(num_samples=20, image_size=16, seed=1)
@@ -261,7 +260,7 @@ class TestThreadedGeneration:
             assert read_container(tmp_path / f"images/{sid}.mrc")[2].tobytes() == \
                 image.astype("<f4").tobytes()
             assert read_container(tmp_path / f"latents/{sid}.mrc")[2].tobytes() == \
-                latent.data.astype("<f4").tobytes()
+                latent.astype("<f4").tobytes()
             for r in range(cfg.num_raters):
                 assert read_container(tmp_path / f"raters/{sid}_r{r}.mrc")[2].tobytes() == \
                     masks[r].tobytes()
