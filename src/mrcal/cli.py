@@ -12,10 +12,11 @@ a failed allocation (`MemoryError`) to exit 1 with one stderr line. An output
 path that cannot be written exits 1.
 
 MRCAL_THREADS sizes the worker pool (`core.ordered_map`) that runs
-inference bands and synthetic samples (0 or unset = the usable CPUs divided by the BLAS thread
-count, see `core.thread_cap`). Each band writes its own rows, each sample's
-random stream is keyed by (seed, index) and synth writes its files in index
-order on the main thread, so results never depend on it.
+inference images and synthetic samples (0 or unset = the usable CPUs divided
+by the BLAS thread count, see `core.thread_cap`). Each image's map comes back
+in image order, each sample's random stream is keyed by (seed, index) and
+synth writes its files in index order on the main thread, so results never
+depend on it.
 """
 
 from __future__ import annotations
@@ -172,7 +173,10 @@ def _oracle_predictions(data_dir: Path, samples):
     return preds
 
 
-def _model_predictions(model_path: str, samples):
+def _model_predictions(model_path: str, samples: list):
+    """The checkpoint's maps of the samples' images. Takes every sample out
+    of `samples`, so that only `predict` holds the images and frees each one
+    once it is predicted."""
     checkpoint = Checkpoint.load(model_path)
     k = samples[0].annotations.num_raters
     if checkpoint.num_raters != k:
@@ -180,7 +184,14 @@ def _model_predictions(model_path: str, samples):
             f"{model_path}: checkpoint was trained on K={checkpoint.num_raters} raters, "
             f"dataset has K={k}"
         )
-    return [predict(checkpoint, s.image).data for s in samples]
+    return [p.data for p in predict(checkpoint, _take_images(samples))]
+
+
+def _take_images(samples: list):
+    """Yield each sample's image in order, removing the samples from the list."""
+    samples.reverse()
+    while samples:
+        yield samples.pop().image
 
 
 def _eval_config(args) -> EvalConfig:
@@ -195,11 +206,11 @@ def _eval_config(args) -> EvalConfig:
 
 def cmd_eval(args, cfg: EvalConfig) -> int:
     data_dir = Path(args.data)
-    dataset = load_dataset(data_dir / "manifest.json", (args.split,))
-    samples = dataset[args.split]
+    samples = load_dataset(data_dir / "manifest.json", (args.split,))[args.split]
     if not samples:
         _diag(f"split {args.split!r} is empty")
         return EXIT_IO
+    stacks = [s.annotations for s in samples]
     try:
         if args.model == "oracle":
             preds = _oracle_predictions(data_dir, samples)
@@ -215,8 +226,8 @@ def cmd_eval(args, cfg: EvalConfig) -> int:
     ) as exc:
         _diag(f"cannot load model/predictions: {exc}")
         return EXIT_IO
+    del samples  # only the rater stacks are scored from here on
 
-    stacks = [s.annotations for s in samples]
     report = bootstrap_eval(preds, stacks, cfg)
     report.notes = {
         "auc_reference": "majority_vote_ties_foreground",
@@ -301,7 +312,7 @@ def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
         except NonFiniteLoss as exc:
             _diag(f"alpha={cfg.alpha}: {exc}")
             return EXIT_NUMERIC
-        preds = [predict(checkpoint, s.image).data for s in dataset["val"]]
+        preds = [p.data for p in predict(checkpoint, [s.image for s in dataset["val"]])]
         stacks = [s.annotations for s in dataset["val"]]
         metric_value, _ = mr_ece(preds, stacks, eval_cfg)
         table.append({"value": cfg.alpha, "metric": metric_value})

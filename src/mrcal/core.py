@@ -16,9 +16,10 @@ bitwise).
 A RaterStack is one image's K rater masks as one read-only (K, H, W) uint8 array;
 its `votes` and `majority` are the package's only vote count and majority rule.
 
-`ordered_map` is the package's one worker pool: inference bands and synthetic
-samples run through it on `thread_cap()` threads (MRCAL_THREADS), and every
-result comes back in item order, so no output depends on the thread count.
+`ordered_map` is the package's one worker pool: inference images (each run
+band by band inline by its task) and synthetic samples run through it on
+`thread_cap()` threads (MRCAL_THREADS), and every result comes back in item
+order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def _blas_threads(cpus: int) -> int:
 def thread_cap() -> int:
     """Worker threads of `ordered_map`: MRCAL_THREADS, where 0 or unset
     means the CPUs this process may run on divided by the BLAS thread count,
-    at least 1. Inference bands run their GEMMs on BLAS's threads, so with
-    BLAS unpinned this is one worker; band workers on top of a multi-threaded
+    at least 1. Inference runs its GEMMs on BLAS's threads, so with BLAS
+    unpinned this is one worker; band workers on top of a multi-threaded
     BLAS measured slower than one. Raises ValueError naming the variable and
     its value when it is not a non-negative integer."""
     raw = os.environ.get("MRCAL_THREADS", "0")
@@ -85,17 +86,19 @@ def ordered_map(fn, items):
     there is one item. Otherwise the calls run on a pool of up to
     `thread_cap()` threads opened for this call, with at most 2 x workers of
     them submitted and not yet yielded, so only a few results are held at a
-    time. If a call raises, or the consumer stops early, the calls not yet
-    started are cancelled and the workers joined before the generator
-    finishes; the exception raised is that of the first failing item in item
-    order. A consumer that may stop early closes the generator
-    (`contextlib.closing`), so that no worker outlives its loop.
+    time. Each item is held only until its call returns, so when the caller
+    keeps no other reference, an item is freed once it has been processed.
+    If a call raises, or the consumer stops early, the calls not yet started
+    are cancelled and the workers joined before the generator finishes; the
+    exception raised is that of the first failing item in item order. A
+    consumer that may stop early closes the generator (`contextlib.closing`),
+    so that no worker outlives its loop.
     """
-    items = list(items)
+    items = deque(items)
     workers = min(thread_cap(), len(items))
     if workers <= 1:
-        for item in items:
-            yield fn(item)
+        while items:
+            yield fn(items.popleft())
         return
     # imported here: commands that never run a pool skip its import cost
     from concurrent.futures import ThreadPoolExecutor
@@ -103,10 +106,10 @@ def ordered_map(fn, items):
     with ThreadPoolExecutor(workers, thread_name_prefix="mrcal-worker") as pool:
         pending = deque()
         try:
-            for item in items:
+            while items:
                 if len(pending) == 2 * workers:
                     yield pending.popleft().result()
-                pending.append(pool.submit(fn, item))
+                pending.append(pool.submit(fn, items.popleft()))
             while pending:
                 yield pending.popleft().result()
         finally:

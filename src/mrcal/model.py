@@ -15,11 +15,23 @@ are exact reverse-mode gradients, verified against finite differences and a
 direct-loop convolution in the test suite. Inference keeps no cache: it runs
 the whole net (conv1 with a one-row halo, both ReLUs, conv2 and the head) per
 row band of at most BAND_PIXELS pixels, so every intermediate stays
-cache-sized at any image size. The bands are independent and run through
-`core.ordered_map` on its MRCAL_THREADS worker threads (see
-`core.thread_cap`); each writes only its own rows of the logits, so the
-result is the same bit for bit at every thread count. Training runs the same
-code as one whole-image band.
+cache-sized at any image size. Training runs the same code as one whole-image
+band.
+
+`predict` runs a list of images through `core.ordered_map`, one image per
+task on its MRCAL_THREADS worker threads (see `core.thread_cap`). Within a
+task the bands run inline, each through the whole per-voxel pipeline (net,
+softmax or sigmoid, majority-mass sum) into its own rows of the image's
+(H, W) map, so no (K+1, H, W) array is built. Every step is per voxel and
+results come back in image order, so the maps are the same bit for bit at
+every thread count. The calling thread checks each finished map
+(`ForegroundProbMap.from_array`), so the maps that outlive the pool are
+allocated there, not in the workers' malloc arenas, whose freed memory
+glibc mostly keeps resident. Worker threads call only private helpers
+(`_image_foreground`, `_channel_softmax`, `_sigmoid`,
+`ordinal._majority_mass`), never a public or traced name such as `predict`,
+`forward`, `_forward_logits`, `_softmax` or `aggregate_foreground`, which
+call the same helpers on the calling thread.
 
 Two arrays are stored pixel-major ((H, W, C) in memory, see
 `_pixel_major_like`): conv2's ReLU output, which the head's einsums read, and
@@ -35,8 +47,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +65,11 @@ from .core import (
     write_together,
 )
 from .fusion import DegenerateStack, FusionConfig, fuse
-from .ordinal import LossConfig, OrdinalProbMap, aggregate_foreground, hybrid_loss, orc_encode
+from .ordinal import LossConfig, OrdinalProbMap, _majority_mass, hybrid_loss, orc_encode
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
-# Pixels per inference band (see `_forward_logits`): 4096 pixels of conv2's
+# Pixels per inference band (see `_bands`): 4096 pixels of conv2's
 # 16-channel columns are 4.7 MB, against 75 MB for a whole 256x256 image.
 BAND_PIXELS = 4096
 
@@ -206,14 +219,23 @@ def _pixel_major_like(x: np.ndarray) -> np.ndarray:
     return np.empty((h, wd, c)).transpose(2, 0, 1)
 
 
-def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int, logits: np.ndarray):
-    """Run the whole net for image rows [top, bottom) into logits[:, top:bottom].
+def _bands(h: int, wd: int) -> list[tuple[int, int]]:
+    """Row ranges [top, bottom) of an H x W image's inference bands, each of
+    max(1, BAND_PIXELS // W) rows, so every intermediate stays cache-sized
+    instead of one (C*9, H*W) matrix per image."""
+    rows = max(1, BAND_PIXELS // wd)
+    return [(top, min(top + rows, h)) for top in range(0, h, rows)]
+
+
+def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int):
+    """Run the whole net for image rows [top, bottom): the band's head
+    outputs (C_out, bottom - top, W) and its caches for backward.
 
     `padded` is the zero-padded (1, H+2, W+2) image. conv1 runs on the band
     plus a one-row halo above and below (clipped to the image), since conv2
     reads it; its ReLU goes into a zero-padded band buffer whose border rows
-    outside the image stay 0. Returns the band's caches for backward, which
-    cover the whole image when the band does.
+    outside the image stay 0. The caches cover the whole image when the band
+    does.
     """
     h, wd = padded.shape[1] - 2, padded.shape[2] - 2
     lo, hi = max(top - 1, 0), min(bottom + 1, h)  # conv1 output rows
@@ -225,51 +247,58 @@ def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int, logits
     z2 = _conv3x3(cols2, net.params["w2"], net.params["b2"], (bottom - top, wd))
     a2 = np.maximum(z2, 0.0, out=_pixel_major_like(z2))
     w3 = net.params["w3"][:, :, 0, 0]  # (C_out, C_h)
-    logits[:, top:bottom] = np.einsum("oc,chw->ohw", w3, a2) + net.params["b3"][:, None, None]
-    return {"cols1": cols1, "z1": z1, "a1": a1, "cols2": cols2, "z2": z2, "a2": a2}
+    logits = np.einsum("oc,chw->ohw", w3, a2) + net.params["b3"][:, None, None]
+    return logits, {"cols1": cols1, "z1": z1, "a1": a1, "cols2": cols2, "z2": z2, "a2": a2}
 
 
 def _forward_logits(net: TinyNet, image: np.ndarray, keep_cache: bool = True):
     """Raw head outputs (C_out, H, W) plus the caches backward needs.
 
     With keep_cache=False (inference) the cache is None, and the whole net
-    runs per band of max(1, BAND_PIXELS // W) rows, so every intermediate
-    stays cache-sized instead of one (C*9, H*W) matrix per image. The bands
-    are independent and each writes its own rows of the logits, so they run
-    through `ordered_map` with results that do not depend on the thread
-    count. With the cache, the band is the whole image.
+    runs band by band (`_bands`) on the calling thread. With the cache, the
+    band is the whole image.
     """
     h, wd = image.shape
     padded = np.pad(image, 1)[None]
-    logits = np.empty((net.out_channels, h, wd))
     if keep_cache:
-        return logits, _band_logits(net, padded, 0, h, logits)
-    rows = max(1, BAND_PIXELS // wd)
-    bands = [(top, min(top + rows, h)) for top in range(0, h, rows)]
-
-    def run(band):
-        _band_logits(net, padded, *band, logits)  # its caches die here, not in the map's window
-
-    for _ in ordered_map(run, bands):
-        pass
+        return _band_logits(net, padded, 0, h)
+    logits = np.empty((net.out_channels, h, wd))
+    for top, bottom in _bands(h, wd):
+        logits[:, top:bottom] = _band_logits(net, padded, top, bottom)[0]
     return logits, None
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _channel_softmax(logits: np.ndarray) -> np.ndarray:
+    """The package's one softmax: over axis 0 of (C, ...) logits, per voxel."""
     e = logits - logits.max(axis=0, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=0, keepdims=True)
     return e
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """`_channel_softmax` under the name that training and `forward` call,
+    on the calling thread only (module docstring)."""
+    return _channel_softmax(logits)
+
+
+def _sigmoid(logit: np.ndarray) -> np.ndarray:
+    """The package's one sigmoid, per voxel."""
+    return 1.0 / (1.0 + np.exp(-logit))
+
+
+def _check_size(*images: Grid2D) -> None:
+    if any(image.height < 3 or image.width < 3 for image in images):
+        raise ValueError("image must be at least 3x3")
+
+
 def forward(net: TinyNet, image: Grid2D):
     """Run the net; softmax head returns an OrdinalProbMap, sigmoid head a
     ForegroundProbMap."""
-    if image.height < 3 or image.width < 3:
-        raise ValueError("image must be at least 3x3")
+    _check_size(image)
     logits, _ = _forward_logits(net, image.data, keep_cache=False)
     if net.out_channels == 1:
-        return ForegroundProbMap.from_array(1.0 / (1.0 + np.exp(-logits[0])))
+        return ForegroundProbMap.from_array(_sigmoid(logits[0]))
     return OrdinalProbMap(_softmax(logits), num_raters=net.out_channels - 1)
 
 
@@ -294,7 +323,7 @@ def _sigmoid_bce(logit: np.ndarray, target: np.ndarray, clamp: float = 1e-7):
     Returns (loss, gradient w.r.t. the logit). The gradient p - t is exact
     for the unclamped loss; the clamp only guards the log evaluation.
     """
-    p = 1.0 / (1.0 + np.exp(-logit))
+    p = _sigmoid(logit)
     pc = np.clip(p, clamp, 1.0 - clamp)
     loss = float((-(target * np.log(pc) + (1.0 - target) * np.log(1.0 - pc))).mean())
     grad = (p - target) / target.size
@@ -508,9 +537,38 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
     )
 
 
-def predict(checkpoint: Checkpoint, image: Grid2D) -> ForegroundProbMap:
-    """Foreground probability map; ordinal heads aggregate majority mass."""
-    out = forward(checkpoint.net, image)
-    if isinstance(out, OrdinalProbMap):
-        return aggregate_foreground(out)
-    return out
+def predict(checkpoint: Checkpoint, images) -> list[ForegroundProbMap]:
+    """One foreground probability map per image of a list, in order; ordinal
+    heads aggregate majority mass.
+
+    `images` is any iterable of Grid2D. Every image's size is checked and
+    the net built before any worker starts; the images then run through
+    `ordered_map`, one per task (module docstring). Each image is held only
+    until its map is computed, so a caller that keeps no other reference
+    (as `eval` does) frees each image once it is predicted, and the maps
+    reuse its memory. Each map equals
+    `aggregate_foreground(forward(net, image))`, or `forward(net, image)`
+    for a sigmoid head, bit for bit. A non-finite map raises
+    `NonFiniteValues`, that of the first such image in list order.
+    """
+    images = list(images)
+    _check_size(*images)
+    tasks = ordered_map(partial(_image_foreground, checkpoint.net), [im.data for im in images])
+    del images  # each image now lives only until its task ends
+    with closing(tasks):
+        return [ForegroundProbMap.from_array(fg) for fg in tasks]
+
+
+def _image_foreground(net: TinyNet, image: np.ndarray) -> np.ndarray:
+    """`predict`'s per-image task: every band runs the net and its head's
+    per-voxel readout into that band's rows of one (H, W) map."""
+    h, wd = image.shape
+    padded = np.pad(image, 1)[None]
+    fg = np.empty((h, wd))
+    for top, bottom in _bands(h, wd):
+        logits = _band_logits(net, padded, top, bottom)[0]  # the band's caches die here
+        if net.out_channels == 1:
+            fg[top:bottom] = _sigmoid(logits[0])
+        else:
+            fg[top:bottom] = _majority_mass(_channel_softmax(logits), net.out_channels - 1)
+    return fg

@@ -87,9 +87,17 @@ def orc_encode(stack: RaterStack) -> OrcMap:
 
 def aggregate_foreground(probs: OrdinalProbMap) -> ForegroundProbMap:
     """Collapse level probabilities to P(majority of raters vote foreground)."""
-    t = majority_level(probs.num_raters)
-    mass = probs.levels[t:].sum(axis=0)
-    return ForegroundProbMap.from_array(mass)
+    return ForegroundProbMap.from_array(_majority_mass(probs.levels, probs.num_raters))
+
+
+def _majority_mass(levels: np.ndarray, num_raters: int) -> np.ndarray:
+    """The package's one majority-mass sum: the probability of the levels
+    that are a majority of K, from (K+1, ...) level probabilities.
+
+    Inference workers call it under this private name, so wrapping
+    `aggregate_foreground` (as a tracer does) never runs on a worker.
+    """
+    return levels[majority_level(num_raters):].sum(axis=0)
 
 
 def _loss_terms(probs: OrdinalProbMap, target: OrcMap, alpha: float):
@@ -124,7 +132,7 @@ def _loss_terms(probs: OrdinalProbMap, target: OrcMap, alpha: float):
     g_rps = (2.0 / (k + 1)) * rev_cum / n_voxels
 
     # BCE value and gradient through the majority-mass aggregation
-    raw_p = probs.levels[t:].sum(axis=0)
+    raw_p = _majority_mass(probs.levels, k)
     p_hat = np.clip(raw_p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     b = (target.data >= t).astype(np.float64)
     bce = float(

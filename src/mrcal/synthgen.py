@@ -210,7 +210,9 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
     return manifest_path
 
 
-_erf = np.vectorize(math.erf)
+def _erf(x: np.ndarray) -> np.ndarray:
+    """`math.erf` of every element of x, as a float64 array of x's shape."""
+    return np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def true_consensus_probability(latent: np.ndarray, cfg: SynthConfig) -> np.ndarray:

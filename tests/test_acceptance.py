@@ -304,7 +304,7 @@ def test_criterion_7_benchmark_ordering():
             ),
         ):
             ckpt = train(train_samples, tcfg)
-            preds = [predict(ckpt, s.image).data for s in test_samples]
+            preds = [p.data for p in predict(ckpt, [s.image for s in test_samples])]
             report = bootstrap_eval(preds, stacks, EvalConfig(seed=0))
             results[label] = (report.mr_ece_boot_mean, report.auc)
 

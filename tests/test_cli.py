@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env
-from mrcal import fusion
+from mrcal import fusion, model
 from mrcal.cli import _parse_grid, main
 from mrcal.model import Checkpoint
 from mrcal.core import (
@@ -334,6 +335,60 @@ class TestTrainEval:
         assert out == ""
         assert err.startswith("non-finite predictions:")
         assert err.count("\n") == 1
+
+    def test_nan_pixel_error_independent_of_thread_count(self, capsys, monkeypatch, tmp_path):
+        """Images run one per worker and fail in image order: the first
+        non-finite map is reported at every thread count."""
+        data = tmp_path / "ds"
+        ckpt = tmp_path / "model.mrc"
+        assert main(["synth", "--out", str(data), "--n", "20", "--size", "16", "--seed", "3"]) == 0
+        assert main(["train", "--data", str(data), "--loss", "rps", "--epochs", "1",
+                     "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((data / "manifest.json").read_text())
+        tests = [s for s in manifest["samples"] if s["split"] == "test"]
+        assert len(tests) == 3
+        # one NaN pixel in image 2 spreads to 5x5 probabilities; a 2x2 block in image 3 to 6x6
+        for entry, block in ((tests[1], (slice(7, 8), slice(7, 8))),
+                             (tests[2], (slice(7, 9), slice(7, 9)))):
+            image_path = data / entry["image_path"]
+            dtype, dims, image = read_container(image_path)
+            image = np.array(image, dtype=np.float32)
+            image[block] = np.nan
+            write_container(dtype, dims, image, image_path)
+        errs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MRCAL_THREADS", threads)
+            code, out, errs[threads] = run_cli(
+                capsys, "eval", "--model", str(ckpt), "--data", str(data), "--split", "test",
+            )
+            assert code == 3
+            assert out == ""
+        assert errs["1"] == errs["2"] == (
+            "non-finite predictions: 25 of 256 probabilities are NaN or infinite\n"
+        )
+
+    def test_eval_frees_each_image_once_predicted(self, capsys, monkeypatch, tmp_path):
+        """eval keeps only the rater stacks: image i is gone before image
+        i+1's task starts (one worker: calls run inline, in order)."""
+        data, ckpt = tmp_path / "ds", tmp_path / "model.mrc"
+        assert main(["synth", "--out", str(data), "--n", "20", "--size", "16"]) == 0
+        assert main(["train", "--data", str(data), "--loss", "rps", "--epochs", "1",
+                     "--out", str(ckpt)]) == 0
+        monkeypatch.setenv("MRCAL_THREADS", "1")
+        held = []
+        task = model._image_foreground
+
+        def checked(net, image):
+            assert [ref() for ref in held] == [None] * len(held)
+            held.append(weakref.ref(image))
+            return task(net, image)
+
+        monkeypatch.setattr(model, "_image_foreground", checked)
+        code, _, err = run_cli(capsys, "eval", "--model", str(ckpt), "--data", str(data),
+                               "--split", "train")
+        assert code == 0, err
+        assert len(held) == 14
 
     def test_trailing_bytes_in_dataset_is_io_error(self, capsys, dataset, tmp_path):
         data = tmp_path / "ds"

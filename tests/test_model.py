@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mrcal.model import (
     predict,
     train,
 )
-from mrcal.ordinal import OrdinalProbMap
+from mrcal.ordinal import OrdinalProbMap, aggregate_foreground
 
 
 def make_samples(n, rng, k=3, size=12):
@@ -301,27 +302,43 @@ class TestBandedInference:
         np.testing.assert_array_equal(_forward_logits(net, image)[0], ref)
 
 
-class TestBandThreads:
-    """Bands write disjoint rows of the logits, so the worker count cannot
-    change them."""
+def random_checkpoint(out_channels, seed):
+    """A checkpoint of a freshly initialised net with random biases; a
+    softmax head's K is out_channels - 1."""
+    rng = np.random.default_rng(seed)
+    net = TinyNet.init(out_channels, seed=seed)
+    for name in ("b1", "b2", "b3"):
+        net.params[name] = rng.normal(scale=0.5, size=net.params[name].shape)
+    return Checkpoint(hidden_channels=net.hidden_channels, out_channels=out_channels,
+                      num_raters=max(out_channels - 1, 1), flat_params=net.flatten(),
+                      config={}, loss_trace=[], seed=seed)
 
-    @pytest.mark.parametrize("h, w", [(256, 256), (130, 257), (3, 4100)])
+
+# band layouts: 16 equal bands; 9 bands, the last one short; 3 one-row bands
+# wider than BAND_PIXELS
+PREDICT_SIZES = [(256, 256), (130, 257), (3, 4100)]
+
+
+class TestBandThreads:
+    """`predict` runs one image per pool task and returns the maps in image
+    order, so the worker count cannot change them."""
+
+    @pytest.mark.parametrize("h, w", PREDICT_SIZES)
     def test_logits_independent_of_thread_count(self, monkeypatch, h, w):
+        ckpt = random_checkpoint(4, seed=w)
         rng = np.random.default_rng(h + w)
-        net = TinyNet.init(4, seed=w)
-        for name in ("b1", "b2", "b3"):
-            net.params[name] = rng.normal(scale=0.5, size=net.params[name].shape)
-        image = rng.random((h, w))
-        logits = {}
+        # more images than workers, and the other sizes among them
+        images = [Grid2D(rng.random(size)) for size in [(h, w), *PREDICT_SIZES, (h, w)]]
+        maps = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more worker switches: a shared write would show
         try:
             for threads in ("1", "4"):
                 monkeypatch.setenv("MRCAL_THREADS", threads)
-                logits[threads], _ = _forward_logits(net, image, keep_cache=False)
+                maps[threads] = [m.data.tobytes() for m in predict(ckpt, images)]
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(logits["1"], logits["4"])
+        assert maps["1"] == maps["4"]
 
     def test_auto_divides_usable_cpus_by_blas_threads(self, monkeypatch):
         monkeypatch.setenv("MRCAL_THREADS", "0")
@@ -342,6 +359,58 @@ class TestBandThreads:
         assert core.thread_cap() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert core.thread_cap() == 1
+
+
+class TestPredict:
+    @pytest.mark.parametrize(
+        "out_channels", [4, 10, 1], ids=["softmax-K3", "softmax-K9", "sigmoid"]
+    )
+    def test_equals_whole_image_reference(self, monkeypatch, out_channels):
+        """Each band's per-voxel readout equals the readout of the whole
+        image's logits, bit for bit."""
+        monkeypatch.setenv("MRCAL_THREADS", "2")
+        ckpt = random_checkpoint(out_channels, seed=out_channels)
+        rng = np.random.default_rng(out_channels)
+        images = [Grid2D(rng.random(size)) for size in PREDICT_SIZES]
+        maps = predict(ckpt, images)
+        assert len(maps) == len(images)
+        for image, got in zip(images, maps):
+            ref = forward(ckpt.net, image)
+            if out_channels > 1:
+                ref = aggregate_foreground(ref)
+            assert got.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_too_small_image_rejected_before_any_task(self, monkeypatch, position):
+        monkeypatch.setenv("MRCAL_THREADS", "2")
+        tasks = []
+        monkeypatch.setattr(model, "_image_foreground", lambda net, image: tasks.append(image))
+        images = [Grid2D(np.zeros((8, 8))) for _ in range(3)]
+        images[position] = Grid2D(np.zeros((8, 2)))
+        with pytest.raises(ValueError, match="at least 3x3"):
+            predict(random_checkpoint(4, seed=0), images)
+        assert tasks == []
+
+    def test_empty_list(self):
+        assert predict(random_checkpoint(4, seed=0), []) == []
+
+    def test_each_image_freed_once_predicted(self, monkeypatch):
+        """With no other reference, image i is gone before image i+1's task
+        starts (one worker: calls run inline, in order)."""
+        monkeypatch.setenv("MRCAL_THREADS", "1")
+        held = []
+        task = model._image_foreground
+
+        def checked(net, image):
+            assert [ref() for ref in held] == [None] * len(held)
+            held.append(weakref.ref(image))
+            return task(net, image)
+
+        monkeypatch.setattr(model, "_image_foreground", checked)
+        rng = np.random.default_rng(5)
+        grids = [Grid2D(rng.random((20, 30))) for _ in range(4)]
+        maps = predict(random_checkpoint(4, seed=5), (grids.pop() for _ in range(4)))
+        assert len(maps) == len(held) == 4
 
 
 class TestTraining:
@@ -449,7 +518,7 @@ class TestCheckpoint:
         # predictions from the reloaded net are bit-identical
         img = Grid2D(rng.random((12, 12)))
         np.testing.assert_array_equal(
-            predict(loaded, img).data, predict(ckpt, img).data
+            predict(loaded, [img])[0].data, predict(ckpt, [img])[0].data
         )
 
     def test_corrupt_descriptor(self, tmp_path):
@@ -529,4 +598,4 @@ class TestCheckpoint:
         net = ckpt.build_net()
         levels = forward(net, img).levels
         expected = levels[2:].sum(axis=0)  # majority level for K=3
-        np.testing.assert_allclose(predict(ckpt, img).data, expected, atol=1e-12)
+        np.testing.assert_allclose(predict(ckpt, [img])[0].data, expected, atol=1e-12)

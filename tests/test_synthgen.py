@@ -1,5 +1,6 @@
 import json
 import hashlib
+import math
 import subprocess
 import sys
 import threading
@@ -11,6 +12,7 @@ from conftest import child_env
 from mrcal.core import load_dataset, parse_manifest, read_container
 from mrcal.synthgen import (
     SynthConfig,
+    _erf,
     effective_sigma,
     generate,
     generate_sample,
@@ -126,6 +128,16 @@ class TestOracle:
         np.testing.assert_array_equal(
             true_consensus_probability(lat, cfg), [[0.0, 1.0, 1.0, np.nan]]
         )
+
+    def test_erf_equals_math_erf_bitwise(self):
+        """`_erf` is `math.erf` per element, the reference np.vectorize ran."""
+        rng = np.random.default_rng(9)
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 5e-324, 6.0, -40.0]
+        z = np.concatenate([rng.normal(size=4086), special]).reshape(64, 64)
+        reference = np.vectorize(math.erf)(z)
+        got = _erf(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert got.tobytes() == reference.tobytes()
 
     def test_monotone_in_latent(self):
         cfg = SynthConfig()
