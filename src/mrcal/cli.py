@@ -104,10 +104,7 @@ def cmd_fuse(args, cfg: FusionConfig) -> int:
                     "parameters": {"sigma": cfg.sigma, "seed": cfg.rng_seed},
                 }
                 if perf is not None:
-                    sidecar["rater_performance"] = {
-                        "sensitivity": list(perf.sensitivity),
-                        "specificity": list(perf.specificity),
-                    }
+                    sidecar["rater_performance"] = perf.to_dict()
                 path.with_suffix(".mrc.json").write_text(
                     json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
                 )

@@ -41,6 +41,7 @@ DTYPE_F32 = 1
 
 _NUMPY_DTYPES = {DTYPE_U8: np.dtype("<u1"), DTYPE_F32: np.dtype("<f4")}
 _MAX_ELEMENTS = 2 ** 32
+CLAMP_TOL = 1e-6  # `ForegroundProbMap.from_array` clamps float error this far outside [0,1]
 
 # BLAS libraries size their own thread pools from these, in this order; with
 # none set they use every CPU
@@ -294,13 +295,13 @@ class ForegroundProbMap:
             raise ValueError("ForegroundProbMap values must lie in [0,1]")
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, clamp_tol: float = 1e-6) -> "ForegroundProbMap":
-        """Build from floats; excursions up to clamp_tol outside [0,1] are clamped."""
+    def from_array(cls, arr: np.ndarray) -> "ForegroundProbMap":
+        """Build from floats; excursions up to CLAMP_TOL outside [0,1] are clamped."""
         arr = np.asarray(arr, dtype=np.float64)
         lo, hi = _finite_range(arr)
-        if lo < -clamp_tol or hi > 1.0 + clamp_tol:
+        if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
             raise ValueError(
-                f"probabilities outside [-{clamp_tol}, 1+{clamp_tol}]: "
+                f"probabilities outside [-{CLAMP_TOL}, 1+{CLAMP_TOL}]: "
                 f"min={lo}, max={hi}"
             )
         return cls(Grid2D(np.clip(arr, 0.0, 1.0)))
@@ -432,6 +433,8 @@ def _image_grid(dtype: int, arr: np.ndarray) -> Grid2D:
 
 
 def parse_manifest(manifest_path) -> DatasetManifest:
+    """Parse and check a manifest. Sample ids name `fuse`'s output files
+    (`<id>_<method>.mrc`), so each must be unique and one path component."""
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text())
@@ -457,7 +460,12 @@ def parse_manifest(manifest_path) -> DatasetManifest:
         raise ManifestParseError(
             f"{manifest_path}: num_raters must be >= 1, got {manifest.num_raters}"
         )
+    seen = set()
     for entry in manifest.samples:
+        if entry.id in seen or entry.id in ("", ".", "..") or {"/", os.sep, "\0"} & set(entry.id):
+            why = "is listed twice" if entry.id in seen else "is not a single path component"
+            raise ManifestParseError(f"{manifest_path}: sample id {entry.id!r} {why}")
+        seen.add(entry.id)
         if entry.split not in SPLITS:
             raise ManifestParseError(
                 f"{manifest_path}: sample {entry.id!r} has unknown split {entry.split!r}"

@@ -29,6 +29,11 @@ METHODS = ("rs", "mc", "sc", "scg", "staple", "simple", "svls")
 # of that radius, (6*sigma+1)**2 of them: 16 gives radius 48 and 9,409 offsets
 MAX_SIGMA = 16.0
 
+STAPLE_MAX_ITERS = 100  # EM iterations at most
+STAPLE_TOL = 1e-6  # EM stops once the mean absolute posterior change is below this
+SIMPLE_MAX_ITERS = 10  # exclusion rounds at most
+SIMPLE_MIN_RATERS = 2  # SIMPLE never keeps fewer raters
+
 
 class DegenerateStack(ValueError):
     """Raised when a method is undefined on a stack: too few raters, or no
@@ -47,15 +52,15 @@ class RaterPerformance:
             if not 0.0 < v < 1.0:
                 raise ValueError(f"performance value {v} outside (0,1)")
 
+    def to_dict(self) -> dict:
+        """The record that fuse and checkpoint sidecars store."""
+        return {"sensitivity": list(self.sensitivity), "specificity": list(self.specificity)}
+
 
 @dataclass
 class FusionConfig:
     method: str = "sc"
     sigma: float = 1.0
-    staple_max_iters: int = 100
-    staple_tol: float = 1e-6
-    simple_max_iters: int = 10
-    simple_min_raters: int = 2
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +70,6 @@ class FusionConfig:
         # kernel by 2*sigma**2, never smaller); 0 there gives NaN weights
         if 2.0 * (0.25 * self.sigma) * (0.25 * self.sigma) == 0.0:
             raise ValueError(f"sigma {self.sigma!r} is too small: 2*(sigma/4)**2 underflows to 0")
-        if self.staple_max_iters < 1 or self.simple_max_iters < 1:
-            raise ValueError("iteration limits must be >= 1")
 
 
 def _counter_draw(seed: int, step: int, k: int) -> int:
@@ -149,7 +152,7 @@ def fuse_staple(
     The posterior depends on a voxel only through its K-bit vote pattern, so
     EM runs on the distinct patterns weighted by their voxel counts and the
     result is scattered back to the voxels. The E-step stays in the log
-    domain, so no K-term product underflows at large K.
+    domain, so no K-term product underflows at large K. `cfg` is not read.
 
     Returns (ForegroundProbMap, RaterPerformance), or a third element with the
     per-iteration log-likelihood trace when track_likelihood is set.
@@ -176,7 +179,7 @@ def fuse_staple(
 
     w = None
     trace = []
-    for _ in range(cfg.staple_max_iters):
+    for _ in range(STAPLE_MAX_ITERS):
         log_a, log_b = _staple_log_ab(y, prior, sens, spec)
         if track_likelihood:
             trace.append(float((c * np.logaddexp(log_a, log_b)).sum()))
@@ -186,7 +189,7 @@ def fuse_staple(
         cv = c * (1.0 - w_new)
         sens = clamp((y * cw).sum(axis=1) / cw.sum())
         spec = clamp(((1.0 - y) * cv).sum(axis=1) / cv.sum())
-        if w is not None and (c * np.abs(w_new - w)).sum() / n < cfg.staple_tol:
+        if w is not None and (c * np.abs(w_new - w)).sum() / n < STAPLE_TOL:
             w = w_new
             break
         w = w_new
@@ -213,14 +216,14 @@ def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
 
     A rater is excluded when its Dice overlap with the current fused mask
     falls below mean - stddev over the included raters; exclusion stops
-    before fewer than simple_min_raters would remain.
+    before fewer than SIMPLE_MIN_RATERS would remain; `cfg` is not read.
     """
     if stack.num_raters < 2:
         raise DegenerateStack("SIMPLE requires K >= 2 raters")
     arr = stack.as_array().astype(bool)
     included = list(range(stack.num_raters))
 
-    for _ in range(cfg.simple_max_iters):
+    for _ in range(SIMPLE_MAX_ITERS):
         fused = arr[included].sum(axis=0) >= majority_level(len(included))
         dice = np.array([_dice(arr[r], fused) for r in included])
         threshold = dice.mean() - dice.std()
@@ -230,7 +233,7 @@ def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
         for pos in order:
             if dice[pos] >= threshold:
                 break
-            if len(included) - len(dropped) - 1 < cfg.simple_min_raters:
+            if len(included) - len(dropped) - 1 < SIMPLE_MIN_RATERS:
                 break
             dropped.append(included[pos])
         if not dropped:

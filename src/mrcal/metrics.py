@@ -6,7 +6,7 @@ by confidence into M equal-width bins, and the metric is the bin-weighted
 mean absolute gap between mean confidence and empirical foreground
 frequency. With K=1 this reduces exactly to frequency-mode ECE. In top_label
 mode a pair's label is whether the rater agrees with the thresholded
-prediction I(p >= tau), and with K=1 it reduces to top-label `ece_single`.
+prediction I(p >= TAU), and with K=1 it reduces to top-label `ece_single`.
 
 AUC is the Mann-Whitney rank statistic against the majority vote of the
 rater stack (ties to foreground). The bootstrap protocol resamples test
@@ -38,18 +38,18 @@ class InconsistentRaterCount(Exception):
     pass
 
 
+TAU = 0.5  # top_label mode's threshold: p >= TAU calls foreground
+
+
 @dataclass
 class EvalConfig:
     num_bins: int = 15
-    tau: float = 0.5
     bootstrap_n: int = 10
     bootstrap_frac: float = 0.6
     seed: int = 0
     ece_mode: str = "frequency"
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must be in (0,1)")
         if not 0.0 < self.bootstrap_frac <= 1.0:
             raise ValueError("bootstrap_frac must be in (0,1]")
         if self.num_bins < 1:
@@ -71,15 +71,14 @@ class CalibrationBins:
     """
 
     num_bins: int
-    counts: np.ndarray = field(default=None)
-    conf_sums: np.ndarray = field(default=None)
-    acc_sums: np.ndarray = field(default=None)
+    counts: np.ndarray = field(init=False)
+    conf_sums: np.ndarray = field(init=False)
+    acc_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros(self.num_bins, dtype=np.int64)
-            self.conf_sums = np.zeros(self.num_bins)
-            self.acc_sums = np.zeros(self.num_bins)
+        self.counts = np.zeros(self.num_bins, dtype=np.int64)
+        self.conf_sums = np.zeros(self.num_bins)
+        self.acc_sums = np.zeros(self.num_bins)
 
     def bin_index(self, confidences: np.ndarray) -> np.ndarray:
         idx = np.floor(confidences * self.num_bins).astype(np.int64)
@@ -131,7 +130,7 @@ def _image_bins(preds, stacks, cfg: EvalConfig) -> list[CalibrationBins]:
 
     Each voxel adds K items at its prediction. Their label sum is the
     foreground vote count in frequency mode; in top_label mode it is the
-    number of raters who agree with the thresholded prediction I(p >= tau),
+    number of raters who agree with the thresholded prediction I(p >= TAU),
     as in `ece_single`.
     """
     if len(preds) != len(stacks):
@@ -153,7 +152,7 @@ def _image_bins(preds, stacks, cfg: EvalConfig) -> list[CalibrationBins]:
         pred = pred.ravel()
         labels = stack.votes().ravel()
         if cfg.ece_mode == "top_label":
-            labels = np.where(pred >= cfg.tau, labels, k - labels)
+            labels = np.where(pred >= TAU, labels, k - labels)
         bins = CalibrationBins(cfg.num_bins)
         bins.add(pred, labels, weight=k)
         out.append(bins)
@@ -184,7 +183,7 @@ def ece_single(pred, mask: BinaryMask, cfg: EvalConfig) -> float:
     frequency mode: per-bin mean prediction vs empirical foreground
     frequency (identical machinery to MR-ECE with K=1).
     top_label mode: per-bin accuracy of the thresholded prediction,
-    Acc = mean I(y == I(p >= tau)).
+    Acc = mean I(y == I(p >= TAU)).
     """
     pred = _as_pred_array(pred)
     if pred.shape != mask.shape:
@@ -192,7 +191,7 @@ def ece_single(pred, mask: BinaryMask, cfg: EvalConfig) -> float:
     y = mask.data.astype(np.float64)
     bins = CalibrationBins(cfg.num_bins)
     if cfg.ece_mode == "top_label":
-        y_hat = (pred >= cfg.tau).astype(np.float64)
+        y_hat = (pred >= TAU).astype(np.float64)
         labels = (y == y_hat).astype(np.float64)
     else:
         labels = y

@@ -12,23 +12,23 @@ them. The conv2 input gradient is the flipped-kernel correlation over the
 columns of the upstream gradient; conv1's input gradient (the gradient with
 respect to the image) is never needed, so it is not computed. Backward passes
 are exact reverse-mode gradients, verified against finite differences and a
-direct-loop convolution in the test suite. Inference keeps no cache: it runs
-the whole net (conv1 with a one-row halo, both ReLUs, conv2 and the head) per
-row band of at most BAND_PIXELS pixels, so every intermediate stays
-cache-sized at any image size. Training runs the same code as one whole-image
-band.
+direct-loop convolution in the test suite. Inference keeps no cache: its one
+band loop, `_band_loop`, runs the whole net (conv1 with a one-row halo, both
+ReLUs, conv2 and the head) per row band of at most BAND_PIXELS pixels, so
+every intermediate stays cache-sized at any image size. Training
+(`_forward_logits`) runs the same code as one whole-image band.
 
 `predict` runs a list of images through `core.ordered_map`, one image per
-task on its MRCAL_THREADS worker threads (see `core.thread_cap`). Within a
-task the bands run inline, each through the whole per-voxel pipeline (net,
-softmax or sigmoid, majority-mass sum) into its own rows of the image's
-(H, W) map, so no (K+1, H, W) array is built. Every step is per voxel and
-results come back in image order, so the maps are the same bit for bit at
-every thread count. The calling thread checks each finished map
+task on its MRCAL_THREADS worker threads (see `core.thread_cap`). Each task,
+`_image_foreground`, runs the band loop inline, each band's head readout
+(softmax and majority-mass sum, or sigmoid) going into its rows of one (H, W)
+map, so no (K+1, H, W) array is built. Every step is per voxel and results
+come back in image order, so the maps are the same bit for bit at every
+thread count. The calling thread checks each finished map
 (`ForegroundProbMap.from_array`), so the maps that outlive the pool are
 allocated there, not in the workers' malloc arenas, whose freed memory
 glibc mostly keeps resident. Worker threads call only private helpers
-(`_image_foreground`, `_channel_softmax`, `_sigmoid`,
+(`_image_foreground`, `_band_loop`, `_channel_softmax`, `_sigmoid`,
 `ordinal._majority_mass`), never a public or traced name such as `predict`,
 `forward`, `_forward_logits`, `_softmax` or `aggregate_foreground`, which
 call the same helpers on the calling thread.
@@ -65,7 +65,9 @@ from .core import (
     write_together,
 )
 from .fusion import DegenerateStack, FusionConfig, fuse
-from .ordinal import LossConfig, OrdinalProbMap, _majority_mass, hybrid_loss, orc_encode
+from .ordinal import (
+    PROB_CLAMP, LossConfig, OrdinalProbMap, _majority_mass, hybrid_loss, orc_encode,
+)
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -95,7 +97,6 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    hidden_channels: int = 16
 
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
@@ -251,21 +252,20 @@ def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int):
     return logits, {"cols1": cols1, "z1": z1, "a1": a1, "cols2": cols2, "z2": z2, "a2": a2}
 
 
-def _forward_logits(net: TinyNet, image: np.ndarray, keep_cache: bool = True):
-    """Raw head outputs (C_out, H, W) plus the caches backward needs.
+def _forward_logits(net: TinyNet, image: np.ndarray):
+    """Training's forward: raw head outputs (C_out, H, W) of the image as one
+    whole-image band, plus the caches backward needs."""
+    return _band_logits(net, np.pad(image, 1)[None], 0, image.shape[0])
 
-    With keep_cache=False (inference) the cache is None, and the whole net
-    runs band by band (`_bands`) on the calling thread. With the cache, the
-    band is the whole image.
-    """
-    h, wd = image.shape
+
+def _band_loop(net: TinyNet, image: np.ndarray, readout, out: np.ndarray) -> np.ndarray:
+    """Inference's one band loop: write `readout` of each band's head outputs
+    (C_out, rows, W) into those rows of `out` (..., H, W), band by band on the
+    calling thread, and return `out`. A band's caches die before the next."""
     padded = np.pad(image, 1)[None]
-    if keep_cache:
-        return _band_logits(net, padded, 0, h)
-    logits = np.empty((net.out_channels, h, wd))
-    for top, bottom in _bands(h, wd):
-        logits[:, top:bottom] = _band_logits(net, padded, top, bottom)[0]
-    return logits, None
+    for top, bottom in _bands(*image.shape):
+        out[..., top:bottom, :] = readout(_band_logits(net, padded, top, bottom)[0])
+    return out
 
 
 def _channel_softmax(logits: np.ndarray) -> np.ndarray:
@@ -296,7 +296,8 @@ def forward(net: TinyNet, image: Grid2D):
     """Run the net; softmax head returns an OrdinalProbMap, sigmoid head a
     ForegroundProbMap."""
     _check_size(image)
-    logits, _ = _forward_logits(net, image.data, keep_cache=False)
+    logits = np.empty((net.out_channels, *image.shape))
+    _band_loop(net, image.data, lambda band: band, logits)
     if net.out_channels == 1:
         return ForegroundProbMap.from_array(_sigmoid(logits[0]))
     return OrdinalProbMap(_softmax(logits), num_raters=net.out_channels - 1)
@@ -317,14 +318,14 @@ def backward(net: TinyNet, cache: dict, d_logits: np.ndarray) -> dict[str, np.nd
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "w3": d_w3, "b3": d_b3}
 
 
-def _sigmoid_bce(logit: np.ndarray, target: np.ndarray, clamp: float = 1e-7):
+def _sigmoid_bce(logit: np.ndarray, target: np.ndarray):
     """BCE of sigmoid(logit) against a (possibly soft) target in [0,1].
 
     Returns (loss, gradient w.r.t. the logit). The gradient p - t is exact
-    for the unclamped loss; the clamp only guards the log evaluation.
+    for the unclamped loss; the clamp (PROB_CLAMP) only guards the log.
     """
     p = _sigmoid(logit)
-    pc = np.clip(p, clamp, 1.0 - clamp)
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float((-(target * np.log(pc) + (1.0 - target) * np.log(1.0 - pc))).mean())
     grad = (p - target) / target.size
     return loss, grad
@@ -450,17 +451,17 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
     perf = None  # STAPLE's rater performance on the first sample
     if cfg.loss == "hybrid_rps":
         out_channels = k + 1
-        targets = {s.id: orc_encode(s.annotations) for s in samples}
+        targets = [orc_encode(s.annotations) for s in samples]
     else:
         out_channels = 1
         if cfg.fusion.method != "rs":
             fused = [_fused_target(s, cfg, step=0) for s in samples]
-            targets = {s.id: target for s, (target, _) in zip(samples, fused)}
+            targets = [target for target, _ in fused]
             perf = fused[0][1]
         else:
             targets = None  # redrawn per (epoch, index)
 
-    net = TinyNet.init(out_channels, cfg.hidden_channels, seed=cfg.seed)
+    net = TinyNet.init(out_channels, seed=cfg.seed)
     loss_cfg = LossConfig(alpha=cfg.alpha)
     rng = np.random.default_rng(cfg.seed + 1)
     trace = []
@@ -471,18 +472,18 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
         batch_grads = None
         batch_count = 0
 
-        for pos, idx in enumerate(order):
-            sample = samples[int(idx)]
+        for pos, idx in enumerate(order.tolist()):
+            sample = samples[idx]
             logits, cache = _forward_logits(net, sample.image.data)
             if cfg.loss == "hybrid_rps":
                 probs = OrdinalProbMap(_softmax(logits), num_raters=k)
-                loss, d_logits = hybrid_loss(probs, targets[sample.id], loss_cfg)
+                loss, d_logits = hybrid_loss(probs, targets[idx], loss_cfg)
             else:
                 if targets is None:
-                    step = epoch * len(samples) + int(idx)
+                    step = epoch * len(samples) + idx
                     target, _ = _fused_target(sample, cfg, step=step)
                 else:
-                    target = targets[sample.id]
+                    target = targets[idx]
                 loss, d_logits = _sigmoid_bce(logits[0], target)
                 d_logits = d_logits[None]
             if not np.isfinite(loss):
@@ -507,12 +508,7 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
 
         trace.append(float(np.mean(epoch_losses)))
 
-    extra = {}
-    if perf is not None:
-        extra["staple_rater_performance"] = {
-            "sensitivity": list(perf.sensitivity),
-            "specificity": list(perf.specificity),
-        }
+    extra = {} if perf is None else {"staple_rater_performance": perf.to_dict()}
 
     config_echo = {
         "loss": cfg.loss,
@@ -521,12 +517,12 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "seed": cfg.seed,
-        "hidden_channels": cfg.hidden_channels,
+        "hidden_channels": net.hidden_channels,
         "fusion_method": cfg.fusion.method,
         "fusion_sigma": cfg.fusion.sigma,
     }
     return Checkpoint(
-        hidden_channels=cfg.hidden_channels,
+        hidden_channels=net.hidden_channels,
         out_channels=out_channels,
         num_raters=k,
         flat_params=net.flatten(),
@@ -562,13 +558,9 @@ def predict(checkpoint: Checkpoint, images) -> list[ForegroundProbMap]:
 def _image_foreground(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """`predict`'s per-image task: every band runs the net and its head's
     per-voxel readout into that band's rows of one (H, W) map."""
-    h, wd = image.shape
-    padded = np.pad(image, 1)[None]
-    fg = np.empty((h, wd))
-    for top, bottom in _bands(h, wd):
-        logits = _band_logits(net, padded, top, bottom)[0]  # the band's caches die here
-        if net.out_channels == 1:
-            fg[top:bottom] = _sigmoid(logits[0])
-        else:
-            fg[top:bottom] = _majority_mass(_channel_softmax(logits), net.out_channels - 1)
-    return fg
+    k = net.out_channels - 1
+
+    def readout(logits):
+        return _sigmoid(logits[0]) if k == 0 else _majority_mass(_channel_softmax(logits), k)
+
+    return _band_loop(net, image, readout, np.empty(image.shape))

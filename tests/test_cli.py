@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,13 +20,17 @@ from hypothesis import strategies as st
 
 from conftest import child_env
 from mrcal import fusion, model
-from mrcal.cli import _parse_grid, main
-from mrcal.model import Checkpoint
+from mrcal.cli import (
+    _eval_config, _fusion_config, _parse_grid, _synth_config, _train_config, build_parser, main,
+)
+from mrcal.metrics import EvalConfig
+from mrcal.model import Checkpoint, TrainConfig
+from mrcal.synthgen import SynthConfig
 from mrcal.core import (
     DTYPE_F32, DTYPE_U8, BinaryMask, ForegroundProbMap, load_dataset, read_container,
     write_container,
 )
-from mrcal.fusion import METHODS
+from mrcal.fusion import METHODS, FusionConfig
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +169,48 @@ class TestFuse:
         assert out == ""
         assert err.startswith("fuse: out of memory") and message in err
         assert err.count("\n") == 1
+
+
+def _resize_sample(data, entry, size):
+    """Rewrite one sample's image and rater masks at size x size."""
+    rng = np.random.default_rng(size)
+    image = rng.random((size, size))
+    write_container(DTYPE_F32, image.shape, image, data / entry["image_path"])
+    for rp in entry["rater_paths"]:
+        mask = (rng.random((size, size)) < image).astype(np.uint8)
+        write_container(DTYPE_U8, mask.shape, mask, data / rp)
+
+
+class TestManifestIds:
+    """Sample ids name fuse's output files, so a manifest with a repeated id
+    or an id that is not one path component is a dataset error."""
+
+    @pytest.mark.parametrize(
+        "bad_id", ["s0000", "../../escaped", "s\0"], ids=["duplicate", "escaping", "nul"]
+    )
+    @pytest.mark.parametrize("command", ["train-rps", "train-sc", "fuse-sc"])
+    def test_rejected_before_any_output(self, capsys, dataset, tmp_path, bad_id, command):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["samples"][1]["id"] = bad_id  # samples 0 and 1 are both in the train split
+        _resize_sample(data, doc["samples"][1], 20)  # the dataset's images are 16x16
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "runs" / "a" / ("m.mrc" if command.startswith("train") else "f")
+        out.parent.mkdir(parents=True)
+        verb, method = command.split("-")
+        if verb == "train":
+            argv = ["train", "--data", str(data), "--loss", method, "--epochs", "1"]
+        else:
+            argv = ["fuse", "--data", str(data), "--method", method]
+        before = set(tmp_path.rglob("*"))
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"cannot load dataset: {manifest}: sample id {bad_id!r}")
+        assert err.count("\n") == 1
+        assert all(p == out or out in p.parents for p in set(tmp_path.rglob("*")) - before)
 
 
 class TestTrainEval:
@@ -746,6 +793,44 @@ class TestInvalidConfig:
             "--epochs", "1", "--out", str(tmp_path / "m.mrc"),
         )
         assert code == 0
+
+
+# Per command: its config builder and type, the argv of its required flags,
+# and a non-default value for every other flag
+ALL_FLAGS = {
+    "synth": (_synth_config, SynthConfig, ["--out", "o"], [
+        "--n", "7", "--size", "17", "--raters", "4", "--ambiguity", "0.3",
+        "--rater-bias-std", "0.2", "--rater-noise-std", "0.3", "--seed", "5",
+    ]),
+    "fuse": (_fusion_config, FusionConfig, ["--data", "d", "--method", "scg", "--out", "o"], [
+        "--sigma", "2", "--seed", "5",
+    ]),
+    "train": (_train_config, TrainConfig, ["--data", "d", "--loss", "scg", "--out", "o"], [
+        "--alpha", "0.5", "--lr", "0.1", "--epochs", "3", "--batch-size", "2",
+        "--sigma", "2", "--seed", "5",
+    ]),
+    "eval": (_eval_config, EvalConfig, ["--model", "m", "--data", "d"], [
+        "--split", "val", "--bins", "7", "--bootstrap", "3", "--frac", "0.5", "--seed", "5",
+        "--report", "r", "--reliability", "c", "--ece-mode", "top_label",
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", ALL_FLAGS)
+def test_every_config_field_is_set_by_a_flag(command):
+    """A config field that no flag moves off its default is a constant in
+    disguise: with every flag off its default, every field is too."""
+    builder, config_type, required, flags = ALL_FLAGS[command]
+    parser = build_parser()
+    defaults = vars(parser.parse_args([command, *required]))
+    args = parser.parse_args([command, *required, *flags])
+    unset = {name for name, value in vars(args).items() if value == defaults[name]}
+    assert unset == {"command", "func", "config"} | {a[2:] for a in required[::2]}
+    cfg = builder(args)
+    assert type(cfg) is config_type
+    for f in dataclasses.fields(config_type):
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        assert getattr(cfg, f.name) != default, f"{command}: {f.name} keeps its default"
 
 
 class TestSweep:

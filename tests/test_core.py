@@ -531,6 +531,32 @@ def test_manifest_without_raters_rejected(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "second_id, reason",
+    [
+        ("s0", "listed twice"),
+        ("", "single path component"),
+        (".", "single path component"),
+        ("..", "single path component"),
+        ("../../escaped", "single path component"),
+        ("a/b", "single path component"),
+        ("s1/", "single path component"),
+        ("s\0", "single path component"),  # no file name holds a NUL byte
+    ],
+)
+def test_manifest_sample_id_rejected(tmp_path, second_id, reason):
+    # ids name fuse's output files, so each is unique and one path component
+    path = _write_dataset(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["samples"][1]["id"] = second_id
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestParseError, match=reason) as exc:
+        parse_manifest(path)
+    assert str(path) in str(exc.value) and repr(second_id) in str(exc.value)
+    with pytest.raises(ManifestParseError):
+        load_dataset(path)
+
+
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):
     # 2^31 * 2^31 * 4 wraps to 0 in int64 arithmetic
     path = tmp_path / "big.mrc"

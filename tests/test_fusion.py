@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from mrcal import fusion
 from mrcal.core import RaterStack
 from mrcal.fusion import (
     METHODS,
@@ -281,20 +282,23 @@ class TestStapleHistogram:
             assert len(trace) - 1 == iters
 
     @pytest.mark.parametrize("max_iters", [1, 2, 5, 100])
-    def test_iteration_count_and_monotone_likelihood(self, max_iters):
+    def test_iteration_count_and_monotone_likelihood(self, monkeypatch, max_iters):
         rng = np.random.default_rng(7)
         arr = _noisy_raters(rng, 9, (20, 20))
-        cfg = FusionConfig(method="staple", staple_max_iters=max_iters, staple_tol=1e-12)
+        monkeypatch.setattr(fusion, "STAPLE_MAX_ITERS", max_iters)
+        monkeypatch.setattr(fusion, "STAPLE_TOL", 1e-12)
+        cfg = FusionConfig(method="staple")
         _, _, trace = fuse_staple(RaterStack(arr), cfg, track_likelihood=True)
         assert len(trace) - 1 == _staple_voxel_reference(arr, max_iters, 1e-12)[3]
         assert len(trace) - 1 <= max_iters
         assert np.all(np.isfinite(trace))
         assert np.diff(trace).min() >= -1e-9 * abs(trace[0])
 
-    def test_likelihood_equals_voxel_sum(self):
+    def test_likelihood_equals_voxel_sum(self, monkeypatch):
         rng = np.random.default_rng(8)
         arr = _noisy_raters(rng, 5, (12, 12))
-        cfg = FusionConfig(method="staple", staple_max_iters=1)
+        monkeypatch.setattr(fusion, "STAPLE_MAX_ITERS", 1)
+        cfg = FusionConfig(method="staple")
         _, _, trace = fuse_staple(RaterStack(arr), cfg, track_likelihood=True)
         y = arr.reshape(5, -1).astype(np.float64)
         prior = y.mean()
@@ -381,7 +385,7 @@ class TestSimple:
         a = np.ones((4, 4), dtype=np.uint8)
         b = np.zeros((4, 4), dtype=np.uint8)
         stack = stack_from([a, b])
-        cfg = FusionConfig(method="simple", simple_min_raters=2)
+        cfg = FusionConfig(method="simple")
         fused = fuse_simple(stack, cfg)
         # no exclusion possible: majority of both with ties to foreground
         np.testing.assert_array_equal(fused.data, a)

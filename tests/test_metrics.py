@@ -8,6 +8,7 @@ from mrcal.core import BinaryMask, RaterStack
 from mrcal.metrics import (
     CalibrationBins,
     EvalConfig,
+    InconsistentRaterCount,
     MetricReport,
     SingleClassReference,
     auc,
@@ -55,9 +56,9 @@ class TestMrEce:
         # K raters = the single-rater ECE of K copies of the prediction,
         # each paired with one rater's mask
         rng = np.random.default_rng(5)
-        cfg = EvalConfig(ece_mode=mode, tau=0.4)
+        cfg = EvalConfig(ece_mode=mode)
         masks = rng.integers(0, 2, size=(3, 9, 9)).astype(np.uint8)
-        pred = np.round(rng.random((9, 9)), 1)  # some predictions sit exactly on tau
+        pred = np.round(rng.random((9, 9)), 1)  # some predictions sit exactly on TAU
         v_multi, _ = mr_ece([pred], [stack_from(masks)], cfg)
         v_single = ece_single(
             np.concatenate([pred] * 3, axis=1), BinaryMask.from_array(np.concatenate(masks, axis=1)), cfg
@@ -112,6 +113,14 @@ class TestMrEce:
         v, bins = mr_ece([pred], [stack], EvalConfig())
         assert 0.0 <= v <= 1.0
         assert bins.counts.sum() == 4 * 100
+
+    @pytest.mark.parametrize("score", [mr_ece, bootstrap_eval])
+    def test_inconsistent_rater_count_rejected(self, score):
+        rng = np.random.default_rng(6)
+        stacks = [stack_from(rng.integers(0, 2, size=(k, 5, 5))) for k in (3, 2)]
+        preds = [rng.random((5, 5)) for _ in stacks]
+        with pytest.raises(InconsistentRaterCount, match="expected K=3, got K=2"):
+            score(preds, stacks, EvalConfig())
 
 
 class TestBinning:
