@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -166,7 +167,7 @@ def _oracle_predictions(data_dir: Path, samples):
             )
         q = true_consensus_probability(np.asarray(arr, dtype=np.float64), cfg)
         # a NaN latent raises NonFiniteValues (exit 3), as a NaN pixel does in `predict`
-        preds.append(ForegroundProbMap.from_array(q).data)
+        preds.append(ForegroundProbMap(q).data)
     return preds
 
 
@@ -192,6 +193,10 @@ def _take_images(samples: list):
 
 
 def _eval_config(args) -> EvalConfig:
+    if args.report and args.reliability and (
+        os.path.realpath(args.report) == os.path.realpath(args.reliability)
+    ):
+        raise ValueError(f"--report and --reliability name the same file: {args.reliability}")
     return EvalConfig(
         num_bins=args.bins,
         bootstrap_n=args.bootstrap,

@@ -32,6 +32,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +42,7 @@ DTYPE_F32 = 1
 
 _NUMPY_DTYPES = {DTYPE_U8: np.dtype("<u1"), DTYPE_F32: np.dtype("<f4")}
 _MAX_ELEMENTS = 2 ** 32
-CLAMP_TOL = 1e-6  # `ForegroundProbMap.from_array` clamps float error this far outside [0,1]
+CLAMP_TOL = 1e-6  # `ForegroundProbMap` clamps float error this far outside [0,1]
 
 # BLAS libraries size their own thread pools from these, in this order; with
 # none set they use every CPU
@@ -170,34 +171,33 @@ class UnreadableFile(DatasetError):
     """A dataset file exists but cannot be read (a directory, no permission)."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    if out is arr:
-        out = arr.copy()
+def _freeze(arr, dtype=None) -> np.ndarray:
+    """The package's one freeze: a read-only C-contiguous copy of `arr`, cast
+    to `dtype` unless that is None."""
+    out = np.array(arr, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
 
 @dataclass(frozen=True)
 class Grid2D:
-    """A dense row-major 2D array. Immutable after construction."""
+    """A dense 2D array with positive dims, stored as one read-only
+    C-contiguous copy in the class's `dtype` (None keeps the caller's).
+
+    A subclass checks its values on the caller's array, then calls
+    `super().__post_init__()`, which checks the shape and makes the copy.
+    """
 
     data: np.ndarray
+    dtype: ClassVar = np.float64
 
     def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError(f"Grid2D requires a 2D array, got ndim={self.data.ndim}")
-        if self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise ValueError(f"Grid2D dims must be positive, got {self.data.shape}")
-        object.__setattr__(self, "data", _freeze(self.data))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+        shape = np.shape(self.data)
+        if len(shape) != 2:
+            raise ValueError(f"{type(self).__name__} requires a 2D array, got ndim={len(shape)}")
+        if 0 in shape:
+            raise ValueError(f"{type(self).__name__} dims must be positive, got {shape}")
+        object.__setattr__(self, "data", _freeze(self.data, self.dtype))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -205,33 +205,25 @@ class Grid2D:
 
 
 def _all_binary(vals: np.ndarray) -> bool:
-    """Whether every value is 0 or 1: one max() pass for uint8."""
+    """Whether every value is 0 or 1: free for bool, one max() pass for uint8."""
+    if vals.dtype == np.bool_:
+        return True
     if vals.dtype == np.uint8:
         return bool(vals.max() <= 1)
     return bool(np.isin(vals, (0, 1)).all())
 
 
 @dataclass(frozen=True)
-class BinaryMask:
-    """A {0,1}-valued Grid2D."""
+class BinaryMask(Grid2D):
+    """A {0,1}-valued Grid2D, stored as uint8. The values are checked before
+    the cast, which would turn e.g. 0.5 into 0."""
 
-    grid: Grid2D
+    dtype: ClassVar = np.uint8
 
     def __post_init__(self):
-        if not _all_binary(self.grid.data):
+        if not _all_binary(np.asarray(self.data)):
             raise ValueError("BinaryMask values must all be 0 or 1")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "BinaryMask":
-        return cls(Grid2D(np.asarray(arr, dtype=np.uint8)))
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.grid.data
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.shape
+        super().__post_init__()
 
 
 def majority_level(num_raters: int) -> int:
@@ -246,12 +238,12 @@ class RaterStack:
     masks: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.masks, dtype=np.uint8)
+        arr = _freeze(self.masks, np.uint8)
         if arr.ndim != 3 or arr.size == 0:
             raise ValueError(f"RaterStack requires a nonempty (K, H, W) array, got {arr.shape}")
         if arr.max() > 1:
             raise ValueError("RaterStack values must all be 0 or 1")
-        object.__setattr__(self, "masks", _freeze(arr))
+        object.__setattr__(self, "masks", arr)
 
     @property
     def num_raters(self) -> int:
@@ -284,35 +276,24 @@ def _finite_range(vals: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ForegroundProbMap:
-    """Per-voxel foreground probabilities in [0,1]."""
+class ForegroundProbMap(Grid2D):
+    """Per-voxel foreground probabilities in [0,1], stored as float64.
 
-    grid: Grid2D
+    NaN or inf raises NonFiniteValues, a value more than CLAMP_TOL outside
+    [0,1] raises ValueError, and smaller excursions are clamped.
+    """
 
     def __post_init__(self):
-        lo, hi = _finite_range(self.grid.data)
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError("ForegroundProbMap values must lie in [0,1]")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ForegroundProbMap":
-        """Build from floats; excursions up to CLAMP_TOL outside [0,1] are clamped."""
-        arr = np.asarray(arr, dtype=np.float64)
-        lo, hi = _finite_range(arr)
+        vals = np.asarray(self.data)
+        lo, hi = _finite_range(vals)
         if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
             raise ValueError(
                 f"probabilities outside [-{CLAMP_TOL}, 1+{CLAMP_TOL}]: "
                 f"min={lo}, max={hi}"
             )
-        return cls(Grid2D(np.clip(arr, 0.0, 1.0)))
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.grid.data
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.shape
+        if lo < 0.0 or hi > 1.0:
+            object.__setattr__(self, "data", np.clip(vals, 0.0, 1.0))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -374,7 +355,8 @@ def write_together(writers) -> None:
     Each one writes a temporary file beside its target; only when every
     write has succeeded are the temporaries renamed over their targets. A
     failed write leaves no partial or temporary file behind and every
-    earlier target as it was.
+    earlier target as it was. The targets must be distinct files: two
+    spellings of one file would share one temporary.
     """
     staged = {Path(p): (Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp"), write)
               for p, write in writers.items()}
@@ -427,9 +409,7 @@ def read_container(path):
 
 def _image_grid(dtype: int, arr: np.ndarray) -> Grid2D:
     """The float64 image of a stored payload; u8 is rescaled by value/255."""
-    if dtype == DTYPE_U8:
-        return Grid2D(arr.astype(np.float64) / 255.0)
-    return Grid2D(arr.astype(np.float64))
+    return Grid2D(arr / 255.0 if dtype == DTYPE_U8 else arr)
 
 
 def parse_manifest(manifest_path) -> DatasetManifest:
@@ -443,7 +423,7 @@ def parse_manifest(manifest_path) -> DatasetManifest:
     try:
         manifest = DatasetManifest(
             version=str(doc["version"]),
-            num_raters=int(doc["num_raters"]),
+            num_raters=doc["num_raters"],
             samples=[
                 ManifestEntry(
                     id=str(s["id"]),
@@ -456,9 +436,9 @@ def parse_manifest(manifest_path) -> DatasetManifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestParseError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    if manifest.num_raters < 1:
+    if type(manifest.num_raters) is not int or manifest.num_raters < 1:  # bool is an int
         raise ManifestParseError(
-            f"{manifest_path}: num_raters must be >= 1, got {manifest.num_raters}"
+            f"{manifest_path}: num_raters must be an integer >= 1, got {manifest.num_raters!r}"
         )
     seen = set()
     for entry in manifest.samples:

@@ -84,17 +84,17 @@ def _counter_draw(seed: int, step: int, k: int) -> int:
 def fuse_random_sampling(stack: RaterStack, seed: int, step: int) -> BinaryMask:
     """Return the mask of one rater picked uniformly from (seed, step)."""
     idx = _counter_draw(seed, step, stack.num_raters)
-    return BinaryMask.from_array(stack.as_array()[idx])
+    return BinaryMask(stack.as_array()[idx])
 
 
 def fuse_median(stack: RaterStack) -> BinaryMask:
     """Per-voxel median vote; even-K ties resolve to foreground."""
-    return BinaryMask.from_array(stack.majority())
+    return BinaryMask(stack.majority())
 
 
 def fuse_soft(stack: RaterStack) -> ForegroundProbMap:
     """Per-voxel mean of the K binary votes."""
-    return ForegroundProbMap.from_array(stack.votes() / stack.num_raters)
+    return ForegroundProbMap(stack.votes() / stack.num_raters)
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -130,7 +130,7 @@ def fuse_soft_gaussian(stack: RaterStack, sigma: float) -> ForegroundProbMap:
     """Soft consensus smoothed by a normalized Gaussian of std sigma."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    return ForegroundProbMap.from_array(gaussian_smooth(fuse_soft(stack).data, sigma))
+    return ForegroundProbMap(gaussian_smooth(fuse_soft(stack).data, sigma))
 
 
 def _staple_log_ab(patterns, prior, sens, spec):
@@ -197,7 +197,7 @@ def fuse_staple(
         log_a, log_b = _staple_log_ab(y, prior, sens, spec)
         trace.append(float((c * np.logaddexp(log_a, log_b)).sum()))
 
-    soft = ForegroundProbMap.from_array(w[inverse].reshape(arr.shape[1:]))
+    soft = ForegroundProbMap(w[inverse].reshape(arr.shape[1:]))
     perf = RaterPerformance(sensitivity=tuple(sens), specificity=tuple(spec))
     if track_likelihood:
         return soft, perf, trace
@@ -211,12 +211,12 @@ def _dice(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * (a & b).sum() / denom)
 
 
-def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
+def fuse_simple(stack: RaterStack) -> BinaryMask:
     """Iterated majority vote that excludes raters with anomalously low Dice.
 
     A rater is excluded when its Dice overlap with the current fused mask
     falls below mean - stddev over the included raters; exclusion stops
-    before fewer than SIMPLE_MIN_RATERS would remain; `cfg` is not read.
+    before fewer than SIMPLE_MIN_RATERS would remain.
     """
     if stack.num_raters < 2:
         raise DegenerateStack("SIMPLE requires K >= 2 raters")
@@ -240,7 +240,7 @@ def fuse_simple(stack: RaterStack, cfg: FusionConfig) -> BinaryMask:
             break
         included = [r for r in included if r not in dropped]
     fused = arr[included].sum(axis=0) >= majority_level(len(included))
-    return BinaryMask.from_array(fused)
+    return BinaryMask(fused)
 
 
 def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> ForegroundProbMap:
@@ -270,7 +270,7 @@ def fuse_svls(stack: RaterStack, cfg: FusionConfig) -> ForegroundProbMap:
             shifted = padded[radius + di : radius + di + h, radius + dj : radius + dj + wdt]
             num += weight * shifted
             den += weight
-    return ForegroundProbMap.from_array(num / den)
+    return ForegroundProbMap(num / den)
 
 
 def fuse(stack: RaterStack, cfg: FusionConfig, step: int = 0):
@@ -287,7 +287,7 @@ def fuse(stack: RaterStack, cfg: FusionConfig, step: int = 0):
     if cfg.method == "scg":
         return fuse_soft_gaussian(stack, cfg.sigma), None
     if cfg.method == "simple":
-        return fuse_simple(stack, cfg), None
+        return fuse_simple(stack), None
     if cfg.method == "svls":
         return fuse_svls(stack, cfg), None
     raise ValueError(f"unknown fusion method {cfg.method!r}")

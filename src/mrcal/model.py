@@ -24,14 +24,14 @@ task on its MRCAL_THREADS worker threads (see `core.thread_cap`). Each task,
 (softmax and majority-mass sum, or sigmoid) going into its rows of one (H, W)
 map, so no (K+1, H, W) array is built. Every step is per voxel and results
 come back in image order, so the maps are the same bit for bit at every
-thread count. The calling thread checks each finished map
-(`ForegroundProbMap.from_array`), so the maps that outlive the pool are
-allocated there, not in the workers' malloc arenas, whose freed memory
-glibc mostly keeps resident. Worker threads call only private helpers
-(`_image_foreground`, `_band_loop`, `_channel_softmax`, `_sigmoid`,
-`ordinal._majority_mass`), never a public or traced name such as `predict`,
-`forward`, `_forward_logits`, `_softmax` or `aggregate_foreground`, which
-call the same helpers on the calling thread.
+thread count. The calling thread wraps each finished map in a
+`ForegroundProbMap`, which checks it and stores one copy, so the maps that
+outlive the pool are allocated there, not in the workers' malloc arenas,
+whose freed memory glibc mostly keeps resident. Worker threads call only
+private helpers (`_image_foreground`, `_band_loop`, `_channel_softmax`,
+`_sigmoid`, `ordinal._majority_mass`), never a public or traced name such as
+`predict`, `forward`, `_forward_logits`, `_softmax` or `aggregate_foreground`,
+which call the same helpers on the calling thread.
 
 Two arrays are stored pixel-major ((H, W, C) in memory, see
 `_pixel_major_like`): conv2's ReLU output, which the head's einsums read, and
@@ -288,7 +288,7 @@ def _sigmoid(logit: np.ndarray) -> np.ndarray:
 
 
 def _check_size(*images: Grid2D) -> None:
-    if any(image.height < 3 or image.width < 3 for image in images):
+    if any(min(image.shape) < 3 for image in images):
         raise ValueError("image must be at least 3x3")
 
 
@@ -299,7 +299,7 @@ def forward(net: TinyNet, image: Grid2D):
     logits = np.empty((net.out_channels, *image.shape))
     _band_loop(net, image.data, lambda band: band, logits)
     if net.out_channels == 1:
-        return ForegroundProbMap.from_array(_sigmoid(logits[0]))
+        return ForegroundProbMap(_sigmoid(logits[0]))
     return OrdinalProbMap(_softmax(logits), num_raters=net.out_channels - 1)
 
 
@@ -552,7 +552,7 @@ def predict(checkpoint: Checkpoint, images) -> list[ForegroundProbMap]:
     tasks = ordered_map(partial(_image_foreground, checkpoint.net), [im.data for im in images])
     del images  # each image now lives only until its task ends
     with closing(tasks):
-        return [ForegroundProbMap.from_array(fg) for fg in tasks]
+        return [ForegroundProbMap(fg) for fg in tasks]
 
 
 def _image_foreground(net: TinyNet, image: np.ndarray) -> np.ndarray:

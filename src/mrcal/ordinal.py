@@ -12,10 +12,11 @@ pre-softmax logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .core import ForegroundProbMap, Grid2D, RaterStack, majority_level
+from .core import ForegroundProbMap, Grid2D, RaterStack, _freeze, majority_level
 
 PROB_CLAMP = 1e-7
 
@@ -25,22 +26,20 @@ class TargetOutOfRange(Exception):
 
 
 @dataclass(frozen=True)
-class OrcMap:
-    """Per-voxel consensus level in {0..K} (count of foreground votes)."""
+class OrcMap(Grid2D):
+    """Per-voxel consensus level in {0..K} (count of foreground votes),
+    stored in the dtype given."""
 
-    grid: Grid2D
     num_raters: int
+    dtype: ClassVar = None
 
     def __post_init__(self):
-        vals = self.grid.data
+        vals = np.asarray(self.data)
         if vals.min() < 0 or vals.max() > self.num_raters:
             raise TargetOutOfRange(
                 f"consensus levels must lie in [0, {self.num_raters}]"
             )
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.grid.data
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,15 @@ class OrdinalProbMap:
                 f"expected {self.num_raters + 1} level layers, "
                 f"got shape {self.levels.shape}"
             )
-        if self.levels.min() < -1e-9:
+        lo = self.levels.min()
+        if lo < -1e-9:
             raise ValueError("level probabilities must be >= 0")
         sums = self.levels.sum(axis=0)
         if np.abs(sums - 1.0).max() > 1e-5:
             raise ValueError("per-voxel level probabilities must sum to 1")
         # clip float-arithmetic dust so downstream logs stay defined
-        arr = np.ascontiguousarray(np.clip(self.levels, 0.0, None), dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "levels", arr)
+        levels = np.clip(self.levels, 0.0, None) if lo < 0 else self.levels
+        object.__setattr__(self, "levels", _freeze(levels, np.float64))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -82,12 +81,12 @@ class LossConfig:
 
 def orc_encode(stack: RaterStack) -> OrcMap:
     """Sum the K binary votes per voxel into a consensus level."""
-    return OrcMap(Grid2D(stack.votes()), num_raters=stack.num_raters)
+    return OrcMap(stack.votes(), num_raters=stack.num_raters)
 
 
 def aggregate_foreground(probs: OrdinalProbMap) -> ForegroundProbMap:
     """Collapse level probabilities to P(majority of raters vote foreground)."""
-    return ForegroundProbMap.from_array(_majority_mass(probs.levels, probs.num_raters))
+    return ForegroundProbMap(_majority_mass(probs.levels, probs.num_raters))
 
 
 def _majority_mass(levels: np.ndarray, num_raters: int) -> np.ndarray:
@@ -113,9 +112,9 @@ def _loss_terms(probs: OrdinalProbMap, target: OrcMap, alpha: float):
         raise TargetOutOfRange(
             f"target K={target.num_raters} vs prediction K={probs.num_raters}"
         )
-    if probs.shape != target.data.shape:
+    if probs.shape != target.shape:
         raise TargetOutOfRange(
-            f"spatial shapes differ: {probs.shape} vs {target.data.shape}"
+            f"spatial shapes differ: {probs.shape} vs {target.shape}"
         )
     k = probs.num_raters
     n_voxels = probs.levels.shape[1] * probs.levels.shape[2]

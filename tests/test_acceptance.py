@@ -59,7 +59,7 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(42)
     k = 3
     img = rng.random((8, 8))
-    target = OrcMap(Grid2D(rng.integers(0, k + 1, size=(8, 8))), num_raters=k)
+    target = OrcMap(rng.integers(0, k + 1, size=(8, 8)), num_raters=k)
     worst = 0.0
     for alpha in (0.0, 0.8):
         net = TinyNet.init(k + 1, hidden_channels=4, seed=1)
@@ -121,7 +121,7 @@ def test_criterion_2_rps_properness():
                 [
                     rps_loss(
                         OrdinalProbMap(g.reshape(3, 1, 1), num_raters=2),
-                        OrcMap(Grid2D(np.array([[level]])), num_raters=2),
+                        OrcMap(np.array([[level]]), num_raters=2),
                     )
                     for g in grid
                 ]
@@ -150,7 +150,7 @@ def test_criterion_3_ordinal_gradedness():
     ok = True
     for k in range(1, 8):
         for true_level in range(k + 1):
-            target = OrcMap(Grid2D(np.array([[true_level]])), num_raters=k)
+            target = OrcMap(np.array([[true_level]]), num_raters=k)
             losses = []
             for level in range(k + 1):
                 levels = np.zeros((k + 1, 1, 1))
@@ -176,7 +176,7 @@ def test_criterion_4_mr_ece_reduction():
         v1, _ = mr_ece(
             [pred], [RaterStack(mask[None])], EvalConfig()
         )
-        single = ece_single(pred, BinaryMask.from_array(mask), EvalConfig())
+        single = ece_single(pred, BinaryMask(mask), EvalConfig())
         worst = max(worst, abs(v1 - single))
         for k in (3, 6):
             vk, _ = mr_ece(
@@ -235,10 +235,7 @@ def test_criterion_6_fusion_oracles():
         flip[0, r] = 1 - flip[0, r]
         good.append(flip)
     outlier = np.zeros_like(base)
-    fused = fuse_simple(
-        RaterStack(np.stack(good + [outlier])),
-        FusionConfig(method="simple"),
-    )
+    fused = fuse_simple(RaterStack(np.stack(good + [outlier])))
     votes = np.stack(good).sum(axis=0)
     ok = ok and np.array_equal(fused.data, (2 * votes >= 4).astype(np.uint8))
 
@@ -257,7 +254,7 @@ def test_criterion_6_fusion_oracles():
                     wins += 1.0
                 elif pred[i] == pred[j]:
                     wins += 0.5
-        got = auc(pred[None], BinaryMask.from_array(labels[None].astype(np.uint8)))
+        got = auc(pred[None], BinaryMask(labels[None].astype(np.uint8)))
         ok = ok and abs(got - wins / pairs) < 1e-12
 
     check(6, "STAPLE / SIMPLE / ranking-score oracles all agree", ok)
@@ -332,10 +329,10 @@ def test_criterion_8_reference_values():
     agg = aggregate_foreground(OrdinalProbMap(levels, num_raters=3)).data[0, 0]
 
     uniform = OrdinalProbMap(np.full((3, 1, 1), 1 / 3), num_raters=2)
-    rps = rps_loss(uniform, OrcMap(Grid2D(np.array([[0]])), num_raters=2))
+    rps = rps_loss(uniform, OrcMap(np.array([[0]]), num_raters=2))
 
     half = OrdinalProbMap(np.full((4, 2, 2), 0.25), num_raters=3)
-    target = OrcMap(Grid2D(np.array([[0, 1], [2, 3]])), num_raters=3)
+    target = OrcMap(np.array([[0, 1], [2, 3]]), num_raters=3)
     bce = bce_loss(half, target)
 
     ok = (

@@ -316,6 +316,22 @@ class TestTrainEval:
         assert str(report) in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("report", ["out.txt", "x/../out.txt"])
+    def test_report_and_reliability_on_one_file_is_usage_error(
+        self, capsys, dataset, tmp_path, report
+    ):
+        # one file cannot be both outputs: the CSV would be lost, or the two
+        # staged writes would share one temporary
+        code, stdout, err = run_cli(
+            capsys,
+            "eval", "--model", "oracle", "--data", str(dataset),
+            "--report", str(tmp_path / report), "--reliability", str(tmp_path / "out.txt"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("eval: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_model_is_io_error(self, capsys, dataset, tmp_path):
         code, _, err = run_cli(
             capsys,

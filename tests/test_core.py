@@ -35,6 +35,7 @@ from mrcal.core import (
     read_container,
     write_container,
 )
+from mrcal.ordinal import OrcMap, OrdinalProbMap
 
 
 def test_u8_header_decode(tmp_path):
@@ -44,7 +45,7 @@ def test_u8_header_decode(tmp_path):
     assert dtype == DTYPE_U8
     assert dims == (2, 2)
     np.testing.assert_array_equal(arr, [[0, 1], [1, 0]])
-    mask = BinaryMask.from_array(arr)
+    mask = BinaryMask(arr)
     assert mask.shape == (2, 2)
 
 
@@ -129,31 +130,64 @@ def test_grid_invariants():
     with pytest.raises(ValueError):
         Grid2D(np.zeros(5))
     g = Grid2D(np.zeros((2, 3)))
-    assert (g.height, g.width) == (2, 3)
+    assert g.shape == (2, 3)
     with pytest.raises(ValueError):
         g.data[0, 0] = 1.0  # immutable
 
 
 def test_binary_mask_rejects_other_values():
     with pytest.raises(ValueError):
-        BinaryMask(Grid2D(np.array([[0, 2]])))
+        BinaryMask(np.array([[0, 2]]))
+    # checked before the uint8 cast, which would turn 0.5 into 0
+    with pytest.raises(ValueError, match="0 or 1"):
+        BinaryMask(np.array([[0.0, 0.5]]))
+    mask = BinaryMask(np.array([[True, False]]))
+    assert mask.data.dtype == np.uint8
+    np.testing.assert_array_equal(mask.data, [[1, 0]])
 
 
 def test_prob_map_bounds():
     with pytest.raises(ValueError):
-        ForegroundProbMap.from_array(np.array([[0.5, 1.5]]))
+        ForegroundProbMap(np.array([[0.5, 1.5]]))
     # tiny excursions clamp
-    pm = ForegroundProbMap.from_array(np.array([[1.0 + 5e-7]]))
+    pm = ForegroundProbMap(np.array([[1.0 + 5e-7]]))
     assert pm.data[0, 0] == 1.0
+    # beyond CLAMP_TOL the map is rejected, not clamped
+    with pytest.raises(ValueError, match="outside"):
+        ForegroundProbMap(np.array([[1.0 + 2e-6]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_prob_map_rejects_non_finite(bad):
     arr = np.array([[0.5, bad], [0.2, 0.7]])
     with pytest.raises(NonFiniteValues, match="1 of 4"):
-        ForegroundProbMap.from_array(arr)
+        ForegroundProbMap(arr)
     with pytest.raises(NonFiniteValues):
-        ForegroundProbMap(Grid2D(arr))
+        ForegroundProbMap(arr.astype(np.float32))
+
+
+@pytest.mark.parametrize(
+    "build, arr",
+    [
+        (Grid2D, np.random.default_rng(0).random((3, 4))),
+        (BinaryMask, np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)),
+        (ForegroundProbMap, np.random.default_rng(1).random((4, 3))),
+        (lambda a: OrcMap(a, num_raters=3), np.array([[0, 3], [2, 1]], dtype=np.int64)),
+        (RaterStack, np.array([[[0, 1]], [[1, 1]]], dtype=np.uint8)),
+        (
+            lambda a: OrdinalProbMap(a, num_raters=1),
+            np.stack([np.full((2, 2), 0.25), np.full((2, 2), 0.75)]),
+        ),
+    ],
+    ids=["Grid2D", "BinaryMask", "ForegroundProbMap", "OrcMap", "RaterStack", "OrdinalProbMap"],
+)
+def test_checked_types_store_one_read_only_copy(build, arr):
+    stored = next(v for v in vars(build(arr)).values() if isinstance(v, np.ndarray))
+    assert not stored.flags.writeable
+    assert not np.shares_memory(stored, arr)
+    before = stored.copy()
+    arr += 1
+    np.testing.assert_array_equal(stored, before)
 
 
 def _write_dataset(tmp_path, num_raters=3, n=2, break_dims=False, drop_rater=False):
@@ -522,8 +556,13 @@ def test_read_mask_value_check(tmp_path, dtype, values, accepted):
         assert str(mask_path) in str(exc.value)
 
 
-def test_manifest_without_raters_rejected(tmp_path):
+@pytest.mark.parametrize("num_raters", [0, 3.9, True, "3"])
+def test_manifest_without_raters_rejected(tmp_path, num_raters):
+    # only a JSON integer >= 1 is a rater count: int() would read 3.9 as 3 and true as 1
     path = _write_dataset(tmp_path, num_raters=0)
+    doc = json.loads(path.read_text())
+    doc["num_raters"] = num_raters
+    path.write_text(json.dumps(doc))
     with pytest.raises(ManifestParseError, match="num_raters") as exc:
         parse_manifest(path)
     assert str(path) in str(exc.value)

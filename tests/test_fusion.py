@@ -328,7 +328,7 @@ class TestStapleHistogram:
         with pytest.raises(DegenerateStack, match="K >= 2"):
             fuse_staple(stack, FusionConfig(method="staple"))
         with pytest.raises(DegenerateStack, match="K >= 2"):
-            fuse_simple(stack, FusionConfig(method="simple"))
+            fuse_simple(stack)
 
 
 class TestSvlsWeights:
@@ -359,7 +359,7 @@ class TestSimple:
         m = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
         stack = stack_from([m, m, m])
         np.testing.assert_array_equal(
-            fuse_simple(stack, FusionConfig(method="simple")).data, m
+            fuse_simple(stack).data, m
         )
 
     def test_outlier_excluded(self):
@@ -375,7 +375,7 @@ class TestSimple:
             good.append(noisy)
         outlier = np.zeros_like(base)
         stack = stack_from(good + [outlier])
-        fused = fuse_simple(stack, FusionConfig(method="simple"))
+        fused = fuse_simple(stack)
         # result equals majority of the four good raters
         votes = np.stack(good).sum(axis=0)
         expected = (2 * votes >= 4).astype(np.uint8)
@@ -385,8 +385,7 @@ class TestSimple:
         a = np.ones((4, 4), dtype=np.uint8)
         b = np.zeros((4, 4), dtype=np.uint8)
         stack = stack_from([a, b])
-        cfg = FusionConfig(method="simple")
-        fused = fuse_simple(stack, cfg)
+        fused = fuse_simple(stack)
         # no exclusion possible: majority of both with ties to foreground
         np.testing.assert_array_equal(fused.data, a)
 
@@ -422,7 +421,7 @@ class TestSharedInvariants:
             "sc": lambda: fuse_soft(stack),
             "scg": lambda: fuse_soft_gaussian(stack, 1.5),
             "staple": lambda: fuse_staple(stack, cfg)[0],
-            "simple": lambda: fuse_simple(stack, cfg),
+            "simple": lambda: fuse_simple(stack),
             "svls": lambda: fuse_svls(stack, cfg),
         }[method]()
         fused, perf = fuse(stack, cfg, step=3)
@@ -458,7 +457,7 @@ class TestSharedInvariants:
             atol=1e-12,
         )
         np.testing.assert_array_equal(
-            fuse_simple(stack, cfg).data, fuse_simple(permuted, cfg).data
+            fuse_simple(stack).data, fuse_simple(permuted).data
         )
 
     def test_output_ranges_and_shapes(self):
@@ -473,6 +472,6 @@ class TestSharedInvariants:
         ):
             assert soft.data.shape == (9, 7)
             assert soft.data.min() >= 0.0 and soft.data.max() <= 1.0
-        for hard in (fuse_median(stack), fuse_simple(stack, cfg)):
+        for hard in (fuse_median(stack), fuse_simple(stack)):
             assert hard.data.shape == (9, 7)
             assert set(np.unique(hard.data)) <= {0, 1}

@@ -48,7 +48,7 @@ class TestMrEce:
             for mode in ("frequency", "top_label"):
                 cfg = EvalConfig(ece_mode=mode)
                 v_multi, _ = mr_ece([pred], [stack_from(mask_arr[None])], cfg)
-                v_single = ece_single(pred, BinaryMask.from_array(mask_arr), cfg)
+                v_single = ece_single(pred, BinaryMask(mask_arr), cfg)
                 assert abs(v_multi - v_single) < 1e-12
 
     @pytest.mark.parametrize("mode", ["frequency", "top_label"])
@@ -61,7 +61,7 @@ class TestMrEce:
         pred = np.round(rng.random((9, 9)), 1)  # some predictions sit exactly on TAU
         v_multi, _ = mr_ece([pred], [stack_from(masks)], cfg)
         v_single = ece_single(
-            np.concatenate([pred] * 3, axis=1), BinaryMask.from_array(np.concatenate(masks, axis=1)), cfg
+            np.concatenate([pred] * 3, axis=1), BinaryMask(np.concatenate(masks, axis=1)), cfg
         )
         assert abs(v_multi - v_single) < 1e-12
 
@@ -141,12 +141,12 @@ class TestBinning:
 class TestEceSingle:
     def test_matched_half(self):
         pred = np.full((2, 2), 0.5)
-        mask = BinaryMask.from_array(np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        mask = BinaryMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
         assert ece_single(pred, mask, EvalConfig()) < 1e-12
 
     def test_perfect_binary_predictor_modes(self):
         mask_arr = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        mask = BinaryMask.from_array(mask_arr)
+        mask = BinaryMask(mask_arr)
         pred = mask_arr.astype(np.float64)
         assert ece_single(pred, mask, EvalConfig(ece_mode="frequency")) < 1e-12
         # literal mode: the p=0 bin has Acc=1, Conf=0 -> gap contributes
@@ -174,24 +174,24 @@ class TestEceSingle:
                 expected += counts[b] / counts.sum() * abs(
                     sums[b] / counts[b] - accs[b] / counts[b]
                 )
-        got = ece_single(pred, BinaryMask.from_array(mask_arr), EvalConfig())
+        got = ece_single(pred, BinaryMask(mask_arr), EvalConfig())
         assert abs(got - expected) < 1e-12
 
 
 class TestAuc:
     def test_perfect_separation(self):
         pred = np.array([[0.9, 0.8, 0.1, 0.2]])
-        ref = BinaryMask.from_array(np.array([[1, 1, 0, 0]], dtype=np.uint8))
+        ref = BinaryMask(np.array([[1, 1, 0, 0]], dtype=np.uint8))
         assert auc(pred, ref) == 1.0
 
     def test_constant_is_half(self):
         pred = np.full((1, 6), 0.3)
-        ref = BinaryMask.from_array(np.array([[1, 0, 1, 0, 1, 0]], dtype=np.uint8))
+        ref = BinaryMask(np.array([[1, 0, 1, 0, 1, 0]], dtype=np.uint8))
         assert auc(pred, ref) == 0.5
 
     def test_worked_example(self):
         pred = np.array([[0.9, 0.8, 0.7, 0.4, 0.3, 0.2]])
-        ref = BinaryMask.from_array(np.array([[1, 1, 0, 1, 0, 0]], dtype=np.uint8))
+        ref = BinaryMask(np.array([[1, 1, 0, 1, 0, 0]], dtype=np.uint8))
         assert abs(auc(pred, ref) - 8 / 9) < 1e-12
 
     def test_against_pair_enumeration(self):
@@ -211,20 +211,20 @@ class TestAuc:
                         wins += 1.0
                     elif pred[i] == pred[j]:
                         wins += 0.5
-            got = auc(pred[None], BinaryMask.from_array(labels[None].astype(np.uint8)))
+            got = auc(pred[None], BinaryMask(labels[None].astype(np.uint8)))
             assert abs(got - wins / pairs) < 1e-12
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(7)
         pred = rng.random((5, 5))
-        ref = BinaryMask.from_array(rng.integers(0, 2, size=(5, 5)).astype(np.uint8))
+        ref = BinaryMask(rng.integers(0, 2, size=(5, 5)).astype(np.uint8))
         a = auc(pred, ref)
         b = auc(1.0 / (1.0 + np.exp(-(4 * pred - 2))), ref)
         assert abs(a - b) < 1e-12
 
     def test_single_class_raises(self):
         pred = np.random.default_rng(8).random((3, 3))
-        ref = BinaryMask.from_array(np.zeros((3, 3), dtype=np.uint8))
+        ref = BinaryMask(np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(SingleClassReference):
             auc(pred, ref)
 
@@ -265,7 +265,7 @@ class TestBootstrap:
         preds[0][:2] = 0.0
         preds[0][2:4] = -0.0  # ties that the pooled sort may reorder
         copies = [p.copy() for p in preds]
-        auc(preds[0], BinaryMask.from_array(stacks[0].majority()))
+        auc(preds[0], BinaryMask(stacks[0].majority()))
         bootstrap_eval(preds, stacks, EvalConfig())
         assert [p.tobytes() for p in preds] == [c.tobytes() for c in copies]
 
@@ -344,7 +344,7 @@ class TestAucKernel:
         pos, neg = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         labels[pos], labels[neg] = True, False
         expected = _midrank_auc(values, labels)
-        got = auc(values[None], BinaryMask.from_array(labels[None].astype(np.uint8)))
+        got = auc(values[None], BinaryMask(labels[None].astype(np.uint8)))
         assert got == expected
 
 

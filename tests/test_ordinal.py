@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mrcal.core import Grid2D, RaterStack
+from mrcal.core import RaterStack
 from mrcal.ordinal import (
     PROB_CLAMP,
     LossConfig,
@@ -28,7 +28,7 @@ def prob_map(levels) -> OrdinalProbMap:
 
 
 def orc(values, k) -> OrcMap:
-    return OrcMap(Grid2D(np.asarray(values, dtype=np.int64)), num_raters=k)
+    return OrcMap(np.asarray(values, dtype=np.int64), num_raters=k)
 
 
 def random_probs(rng, k, shape) -> OrdinalProbMap:
