@@ -206,6 +206,15 @@ def _eval_config(args) -> EvalConfig:
     )
 
 
+def _prediction_failure(exc: Exception) -> int:
+    """Exit code of a failed model load or `predict`, after one stderr line."""
+    if isinstance(exc, core.NonFiniteValues):
+        _diag(f"non-finite predictions: {exc}")
+        return EXIT_NUMERIC
+    _diag(f"cannot load model/predictions: {exc}")
+    return EXIT_IO
+
+
 def cmd_eval(args, cfg: EvalConfig) -> int:
     data_dir = Path(args.data)
     samples = load_dataset(data_dir / "manifest.json", (args.split,))[args.split]
@@ -218,16 +227,12 @@ def cmd_eval(args, cfg: EvalConfig) -> int:
             preds = _oracle_predictions(data_dir, samples)
         else:
             preds = _model_predictions(args.model, samples)
-    except core.NonFiniteValues as exc:
-        _diag(f"non-finite predictions: {exc}")
-        return EXIT_NUMERIC
     except (
         # ValueError and TypeError: a sidecar or synth_meta.json that is not
         # UTF-8 JSON, or whose config SynthConfig rejects
         OSError, KeyError, TypeError, ValueError, core.ContainerError, model.ArchitectureMismatch
     ) as exc:
-        _diag(f"cannot load model/predictions: {exc}")
-        return EXIT_IO
+        return _prediction_failure(exc)
     del samples  # only the rater stacks are scored from here on
 
     report = bootstrap_eval(preds, stacks, cfg)
@@ -314,7 +319,10 @@ def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
         except NonFiniteLoss as exc:
             _diag(f"alpha={cfg.alpha}: {exc}")
             return EXIT_NUMERIC
-        preds = [p.data for p in predict(checkpoint, [s.image for s in dataset["val"]])]
+        try:
+            preds = [p.data for p in predict(checkpoint, [s.image for s in dataset["val"]])]
+        except ValueError as exc:  # includes NonFiniteValues
+            return _prediction_failure(exc)
         stacks = [s.annotations for s in dataset["val"]]
         metric_value, _ = mr_ece(preds, stacks, eval_cfg)
         table.append({"value": cfg.alpha, "metric": metric_value})

@@ -66,7 +66,7 @@ from .core import (
 )
 from .fusion import DegenerateStack, FusionConfig, fuse
 from .ordinal import (
-    PROB_CLAMP, LossConfig, OrdinalProbMap, _majority_mass, hybrid_loss, orc_encode,
+    PROB_CLAMP, OrdinalProbMap, _majority_mass, hybrid_loss, orc_encode,
 )
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -101,7 +101,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise ValueError("lr must be finite and > 0")
-        LossConfig(alpha=self.alpha)  # rejects a non-finite or negative alpha
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.epochs < 1:
@@ -436,7 +437,9 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
     hybrid_rps trains the K+1 softmax head against ordinal consensus
     targets. bce_vs_fused trains the 1-channel sigmoid head against the
     configured fusion target; random-sampling targets are redrawn every
-    epoch at step = epoch * len(samples) + index.
+    epoch at step = epoch * len(samples) + index. Each step applies the mean
+    gradient of a batch_size slice of the epoch's permutation (the epoch's
+    last batch may be shorter).
     """
     samples = list(samples)
     if not samples:
@@ -448,67 +451,47 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
                 f"sample {s.id!r} has K={s.annotations.num_raters}, expected {k}"
             )
 
-    perf = None  # STAPLE's rater performance on the first sample
+    extra = {}
     if cfg.loss == "hybrid_rps":
         out_channels = k + 1
         targets = [orc_encode(s.annotations) for s in samples]
+
+        def objective(logits, idx, step):
+            return hybrid_loss(OrdinalProbMap(_softmax(logits), k), targets[idx], cfg.alpha)
     else:
         out_channels = 1
-        if cfg.fusion.method != "rs":
-            fused = [_fused_target(s, cfg, step=0) for s in samples]
-            targets = [target for target, _ in fused]
-            perf = fused[0][1]
+        if cfg.fusion.method == "rs":
+            target = lambda idx, step: _fused_target(samples[idx], cfg, step)[0]
         else:
-            targets = None  # redrawn per (epoch, index)
+            targets, perfs = zip(*(_fused_target(s, cfg, step=0) for s in samples))
+            if perfs[0] is not None:  # STAPLE's rater performance on the first sample
+                extra["staple_rater_performance"] = perfs[0].to_dict()
+            target = lambda idx, step: targets[idx]
+
+        def objective(logits, idx, step):
+            loss, d_logit = _sigmoid_bce(logits[0], target(idx, step))
+            return loss, d_logit[None]
 
     net = TinyNet.init(out_channels, seed=cfg.seed)
-    loss_cfg = LossConfig(alpha=cfg.alpha)
     rng = np.random.default_rng(cfg.seed + 1)
     trace = []
-
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(samples))
-        epoch_losses = []
-        batch_grads = None
-        batch_count = 0
-
-        for pos, idx in enumerate(order.tolist()):
-            sample = samples[idx]
-            logits, cache = _forward_logits(net, sample.image.data)
-            if cfg.loss == "hybrid_rps":
-                probs = OrdinalProbMap(_softmax(logits), num_raters=k)
-                loss, d_logits = hybrid_loss(probs, targets[idx], loss_cfg)
-            else:
-                if targets is None:
-                    step = epoch * len(samples) + idx
-                    target, _ = _fused_target(sample, cfg, step=step)
-                else:
-                    target = targets[idx]
-                loss, d_logits = _sigmoid_bce(logits[0], target)
-                d_logits = d_logits[None]
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
-            epoch_losses.append(loss)
-
-            grads = backward(net, cache, d_logits)
-            if batch_grads is None:
-                batch_grads = grads
-            else:
-                for name in PARAM_NAMES:
-                    batch_grads[name] = batch_grads[name] + grads[name]
-            batch_count += 1
-
-            if batch_count == cfg.batch_size or pos == len(order) - 1:
-                for name in PARAM_NAMES:
-                    net.params[name] = net.params[name] - cfg.lr * (
-                        batch_grads[name] / batch_count
-                    )
-                batch_grads = None
-                batch_count = 0
-
-        trace.append(float(np.mean(epoch_losses)))
-
-    extra = {} if perf is None else {"staple_rater_performance": perf.to_dict()}
+        order = rng.permutation(len(samples)).tolist()
+        losses = []
+        for start in range(0, len(samples), cfg.batch_size):
+            batch, total = order[start : start + cfg.batch_size], {}
+            for idx in batch:
+                logits, cache = _forward_logits(net, samples[idx].image.data)
+                loss, d_logits = objective(logits, idx, epoch * len(samples) + idx)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
+                losses.append(loss)
+                grads = backward(net, cache, d_logits)
+                for name in PARAM_NAMES:  # a running sum: a list of grads raised peak RSS
+                    total[name] = total[name] + grads[name] if name in total else grads[name]
+            for name in PARAM_NAMES:
+                net.params[name] = net.params[name] - cfg.lr * (total[name] / len(batch))
+        trace.append(float(np.mean(losses)))
 
     config_echo = {
         "loss": cfg.loss,

@@ -70,15 +70,6 @@ class OrdinalProbMap:
         return self.levels.shape[1:]
 
 
-@dataclass
-class LossConfig:
-    alpha: float = 0.8
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError("alpha must be finite and >= 0")
-
-
 def orc_encode(stack: RaterStack) -> OrcMap:
     """Sum the K binary votes per voxel into a consensus level."""
     return OrcMap(stack.votes(), num_raters=stack.num_raters)
@@ -158,10 +149,10 @@ def bce_loss(probs: OrdinalProbMap, target: OrcMap) -> float:
     return _loss_terms(probs, target, alpha=1.0)[0]
 
 
-def hybrid_loss(probs: OrdinalProbMap, target: OrcMap, cfg: LossConfig):
+def hybrid_loss(probs: OrdinalProbMap, target: OrcMap, alpha: float):
     """Total loss BCE + alpha*RPS and its gradient w.r.t. pre-softmax logits.
 
     Returns (scalar, gradient of shape (K+1, H, W)); see `_loss_terms`.
     """
-    bce, rps, grad = _loss_terms(probs, target, cfg.alpha)
-    return bce + cfg.alpha * rps, grad
+    bce, rps, grad = _loss_terms(probs, target, alpha)
+    return bce + alpha * rps, grad

@@ -20,7 +20,6 @@ from mrcal.fusion import FusionConfig, fuse_simple, fuse_staple
 from mrcal.metrics import EvalConfig, auc, bootstrap_eval, ece_single, mr_ece
 from mrcal.model import TinyNet, TrainConfig, _forward_logits, _softmax, backward, predict, train
 from mrcal.ordinal import (
-    LossConfig,
     OrcMap,
     OrdinalProbMap,
     aggregate_foreground,
@@ -63,17 +62,16 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for alpha in (0.0, 0.8):
         net = TinyNet.init(k + 1, hidden_channels=4, seed=1)
-        cfg = LossConfig(alpha=alpha)
 
         def loss_of(n):
             logits, _ = _forward_logits(n, img)
             probs = OrdinalProbMap(_softmax(logits), num_raters=k)
-            value, _ = hybrid_loss(probs, target, cfg)
+            value, _ = hybrid_loss(probs, target, alpha)
             return value
 
         logits, cache = _forward_logits(net, img)
         probs = OrdinalProbMap(_softmax(logits), num_raters=k)
-        _, d_logits = hybrid_loss(probs, target, cfg)
+        _, d_logits = hybrid_loss(probs, target, alpha)
         grads = backward(net, cache, d_logits)
 
         h = 1e-4

@@ -773,6 +773,8 @@ INVALID_CONFIGS = [
     ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--seed", "-1"],
     ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--lr", "nan"],
     ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--alpha", "-1"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--alpha", "nan"],
+    ["train", "--data", "{tmp}/none", "--loss", "rps", "--out", "{tmp}/m.mrc", "--alpha", "inf"],
     ["fuse", "--data", "{tmp}/none", "--method", "svls", "--out", "{tmp}/f", "--sigma", "inf"],
     # 2 * (sigma/4)**2 underflows to 0: the Gaussian weights would be NaN
     ["fuse", "--data", "{tmp}/none", "--method", "svls", "--out", "{tmp}/f", "--sigma", "1e-300"],
@@ -785,6 +787,7 @@ INVALID_CONFIGS = [
     ["eval", "--model", "oracle", "--data", "{tmp}/none", "--seed", "-1"],
     ["sweep", "--data", "{tmp}/none", "--values", "nan"],
     ["sweep", "--data", "{tmp}/none", "--values", "0:1:1e-300"],
+    ["sweep", "--data", "{tmp}/none", "--values", "-1"],
 ]
 
 
@@ -878,6 +881,32 @@ class TestSweep:
             capsys, "sweep", "--data", str(dataset), "--values", "oops"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("edit", ["nan-pixel", "2x2-image"])
+    def test_val_image_that_predict_rejects(self, capsys, dataset, tmp_path, edit):
+        """sweep maps `predict`'s errors as eval does: exit 3 for a NaN
+        pixel, exit 1 for an image too small for the net (train, which never
+        sees the val split, accepts both)."""
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(s for s in manifest["samples"] if s["split"] == "val")
+        if edit == "nan-pixel":
+            dtype, dims, image = read_container(data / entry["image_path"])
+            image = np.array(image, dtype=np.float32)
+            image[2, 3] = np.nan
+            write_container(dtype, dims, image, data / entry["image_path"])
+            expected = (3, "non-finite predictions: ")
+        else:
+            _resize_sample(data, entry, 2)
+            expected = (1, "cannot load model/predictions: image must be at least 3x3")
+        code, out, err = run_cli(
+            capsys, "sweep", "--data", str(data), "--values", "0.5", "--epochs", "1"
+        )
+        assert code == expected[0]
+        assert out == ""
+        assert err.startswith(expected[1])
+        assert err.count("\n") == 1
 
 
 class TestReport:

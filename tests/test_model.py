@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrcal.core import Grid2D, RaterStack, Sample
-from mrcal.fusion import FusionConfig
+from mrcal.fusion import FusionConfig, fuse
 from mrcal import core, fusion, model
 from mrcal.model import (
     BAND_PIXELS,
@@ -19,12 +19,14 @@ from mrcal.model import (
     TrainConfig,
     _forward_logits,
     _im2col,
+    _sigmoid_bce,
+    _softmax,
     backward,
     forward,
     predict,
     train,
 )
-from mrcal.ordinal import OrdinalProbMap, aggregate_foreground
+from mrcal.ordinal import OrdinalProbMap, aggregate_foreground, hybrid_loss, orc_encode
 
 
 def make_samples(n, rng, k=3, size=12):
@@ -495,12 +497,72 @@ class TestTraining:
             "specificity": list(perf.specificity),
         }
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    @pytest.mark.parametrize("loss, method", [
+        ("hybrid_rps", "mc"), ("bce_vs_fused", "rs"), ("bce_vs_fused", "staple"),
+    ])
+    def test_matches_reference_sgd_loop(self, monkeypatch, loss, method, batch_size):
+        """`train` is plain minibatch SGD, bit for bit: with 4 samples,
+        batch_size 3 leaves a short last batch and 8 makes one batch. The
+        parameters are compared in float64, where the float32 checkpoint
+        would hide a different summation order."""
+        monkeypatch.setattr(TinyNet, "flatten", lambda net: np.concatenate(
+            [net.params[name].ravel() for name in PARAM_NAMES]
+        ))
+        samples = make_samples(4, np.random.default_rng(14), size=8)
+        cfg = TrainConfig(
+            loss=loss, fusion=FusionConfig(method=method, rng_seed=5), lr=0.05,
+            epochs=3, batch_size=batch_size, seed=2,
+        )
+        ckpt = train(samples, cfg)
+        params, trace = reference_sgd(samples, cfg)
+        np.testing.assert_array_equal(ckpt.flat_params, params)
+        assert ckpt.loss_trace == trace
+
     def test_defaults(self):
         cfg = TrainConfig()
         assert cfg.lr == 0.01
         assert cfg.epochs == 20
         assert cfg.batch_size == 4
         assert cfg.alpha == 0.8
+
+
+def reference_sgd(samples, cfg):
+    """The SGD rule `train` implements, as a plain loop: per sample in each
+    epoch's permutation, forward, loss, backward; gradients summed in that
+    order and the mean applied after every batch_size samples and at the end
+    of the epoch. rs redraws its target at step epoch * n + sample index."""
+    k = samples[0].annotations.num_raters
+    ordinal = cfg.loss == "hybrid_rps"
+    net = TinyNet.init(k + 1 if ordinal else 1, seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    n = len(samples)
+    trace = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n).tolist()
+        losses, batch = [], []
+        for pos, idx in enumerate(order):
+            sample = samples[idx]
+            logits, cache = _forward_logits(net, sample.image.data)
+            if ordinal:
+                probs = OrdinalProbMap(_softmax(logits), num_raters=k)
+                loss, d_logits = hybrid_loss(probs, orc_encode(sample.annotations), cfg.alpha)
+            else:
+                step = epoch * n + idx if cfg.fusion.method == "rs" else 0
+                target, _ = fuse(sample.annotations, cfg.fusion, step=step)
+                loss, d_logit = _sigmoid_bce(logits[0], target.data.astype(np.float64))
+                d_logits = d_logit[None]
+            losses.append(loss)
+            batch.append(backward(net, cache, d_logits))
+            if len(batch) == cfg.batch_size or pos == n - 1:
+                for name in PARAM_NAMES:
+                    total = batch[0][name]
+                    for grads in batch[1:]:
+                        total = total + grads[name]
+                    net.params[name] = net.params[name] - cfg.lr * (total / len(batch))
+                batch = []
+        trace.append(float(np.mean(losses)))
+    return net.flatten(), trace
 
 
 class TestCheckpoint:

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from mrcal.core import RaterStack
 from mrcal.ordinal import (
     PROB_CLAMP,
-    LossConfig,
     OrcMap,
     OrdinalProbMap,
     TargetOutOfRange,
@@ -185,21 +184,20 @@ class TestHybrid:
         rng = np.random.default_rng(6)
         probs = random_probs(rng, 3, (4, 4))
         target = orc(rng.integers(0, 4, size=(4, 4)), 3)
-        loss0, grad0 = hybrid_loss(probs, target, LossConfig(alpha=0.0))
+        loss0, grad0 = hybrid_loss(probs, target, 0.0)
         assert abs(loss0 - bce_loss(probs, target)) < 1e-12
         # gradient equals the numerical gradient of pure BCE w.r.t. logits
         z = np.log(probs.levels)
-        num = _fd_logit_grad(z, target, LossConfig(alpha=0.0))
+        num = _fd_logit_grad(z, target, 0.0)
         np.testing.assert_allclose(grad0, num, atol=1e-7)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(7)
         z = rng.normal(size=(4, 4, 4))
         target = orc(rng.integers(0, 4, size=(4, 4)), 3)
-        cfg = LossConfig(alpha=0.8)
         probs = _softmax_probs(z)
-        _, grad = hybrid_loss(probs, target, cfg)
-        num = _fd_logit_grad(z, target, cfg)
+        _, grad = hybrid_loss(probs, target, 0.8)
+        num = _fd_logit_grad(z, target, 0.8)
         denom = np.maximum(np.abs(num), 1e-8)
         assert (np.abs(grad - num) / denom).max() < 1e-4
 
@@ -212,7 +210,7 @@ class TestHybrid:
         scale = data.draw(st.sampled_from((1.0, 50.0)))
         z = data.draw(arrays(np.float64, (k + 1, h, w), elements=st.floats(-scale, scale)))
         target = orc(data.draw(arrays(np.int64, (h, w), elements=st.integers(0, k))), k)
-        cfg = LossConfig(alpha=data.draw(st.floats(0.0, 1.0)))
+        alpha = data.draw(st.floats(0.0, 1.0))
         probs = _softmax_probs(z)
         t = majority_level(k)
         p_hat, rest = probs.levels[t:].sum(axis=0), probs.levels[:t].sum(axis=0)
@@ -222,9 +220,9 @@ class TestHybrid:
         # divides by h: rest >= 1e-5 keeps that under 1e-6.
         assume(not np.isclose(p_hat, PROB_CLAMP, rtol=1e-3).any())
         assume(not ((rest > PROB_CLAMP * (1.0 - 1e-3)) & (rest < 1e-5)).any())
-        loss, grad = hybrid_loss(probs, target, cfg)
-        assert loss == bce_loss(probs, target) + cfg.alpha * rps_loss(probs, target)
-        num = _fd_logit_grad(z, target, cfg)
+        loss, grad = hybrid_loss(probs, target, alpha)
+        assert loss == bce_loss(probs, target) + alpha * rps_loss(probs, target)
+        num = _fd_logit_grad(z, target, alpha)
         # relative error, or absolute error 1e-6 below the floor
         denom = np.maximum(np.abs(num), 1e-2)
         assert (np.abs(grad - num) / denom).max() < 1e-4
@@ -233,7 +231,7 @@ class TestHybrid:
         rng = np.random.default_rng(8)
         probs = random_probs(rng, 5, (6, 6))
         target = orc(rng.integers(0, 6, size=(6, 6)), 5)
-        _, grad = hybrid_loss(probs, target, LossConfig(alpha=0.8))
+        _, grad = hybrid_loss(probs, target, 0.8)
         assert np.abs(grad.sum(axis=0)).max() < 1e-6
 
     def test_loss_always_finite(self):
@@ -241,12 +239,9 @@ class TestHybrid:
         levels = np.zeros((4, 1, 1))
         levels[0] = 1.0
         target = orc([[3]], 3)
-        loss, grad = hybrid_loss(prob_map(levels), target, LossConfig(alpha=0.8))
+        loss, grad = hybrid_loss(prob_map(levels), target, 0.8)
         assert np.isfinite(loss)
         assert np.isfinite(grad).all()
-
-    def test_default_alpha(self):
-        assert LossConfig().alpha == 0.8
 
 
 def _softmax_probs(z) -> OrdinalProbMap:
@@ -254,14 +249,14 @@ def _softmax_probs(z) -> OrdinalProbMap:
     return OrdinalProbMap(e / e.sum(axis=0, keepdims=True), num_raters=z.shape[0] - 1)
 
 
-def _fd_logit_grad(z, target, cfg, h=1e-4):
+def _fd_logit_grad(z, target, alpha, h=1e-4):
     num = np.zeros_like(z)
     for idx in np.ndindex(z.shape):
         zp = z.copy()
         zp[idx] += h
-        lp, _ = hybrid_loss(_softmax_probs(zp), target, cfg)
+        lp, _ = hybrid_loss(_softmax_probs(zp), target, alpha)
         zm = z.copy()
         zm[idx] -= h
-        lm, _ = hybrid_loss(_softmax_probs(zm), target, cfg)
+        lm, _ = hybrid_loss(_softmax_probs(zm), target, alpha)
         num[idx] = (lp - lm) / (2 * h)
     return num
