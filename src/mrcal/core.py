@@ -16,10 +16,12 @@ bitwise).
 A RaterStack is one image's K rater masks as one read-only (K, H, W) uint8 array;
 its `votes` and `majority` are the package's only vote count and majority rule.
 
-`ordered_map` is the package's one worker pool: inference images (each run
-band by band inline by its task) and synthetic samples run through it on
-`thread_cap()` threads (MRCAL_THREADS), and every result comes back in item
-order, so no output depends on the thread count.
+`WorkerPool` is the package's one worker pool, on `thread_cap()` threads
+(MRCAL_THREADS): inference images (each run band by band inline by its task)
+and synthetic samples run through `ordered_map`, which opens a pool for one
+call, and training opens one pool per `train` call for its mini-batches'
+samples. Every result comes back in item order, so no output depends on the
+thread count.
 """
 
 from __future__ import annotations
@@ -81,42 +83,74 @@ def thread_cap() -> int:
     return max(1, cpus // _blas_threads(cpus))
 
 
-def ordered_map(fn, items):
-    """Yield fn(item) for each item, in item order.
+class WorkerPool:
+    """Up to `thread_cap()` worker threads, never more than `max_tasks`,
+    that stay open from `with` to its end; with one worker, `map` runs every
+    call inline on the calling thread and no thread is started.
 
-    Every call runs inline on the calling thread when `thread_cap()` is 1 or
-    there is one item. Otherwise the calls run on a pool of up to
-    `thread_cap()` threads opened for this call, with at most 2 x workers of
-    them submitted and not yet yielded, so only a few results are held at a
-    time. Each item is held only until its call returns, so when the caller
-    keeps no other reference, an item is freed once it has been processed.
-    If a call raises, or the consumer stops early, the calls not yet started
-    are cancelled and the workers joined before the generator finishes; the
-    exception raised is that of the first failing item in item order. A
-    consumer that may stop early closes the generator (`contextlib.closing`),
-    so that no worker outlives its loop.
+    Leaving the `with` block joins the workers (named `mrcal-worker_<n>`)
+    once every call still running has returned.
     """
-    items = deque(items)
-    workers = min(thread_cap(), len(items))
-    if workers <= 1:
-        while items:
-            yield fn(items.popleft())
-        return
-    # imported here: commands that never run a pool skip its import cost
-    from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers, thread_name_prefix="mrcal-worker") as pool:
+    def __init__(self, max_tasks: int):
+        self.workers = max(1, min(thread_cap(), max_tasks))
+        self._executor = None
+        if self.workers > 1:
+            # imported here: commands that never run a pool skip its import cost
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(self.workers, thread_name_prefix="mrcal-worker")
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+
+    def map(self, fn, items):
+        """Yield fn(item) for each item, in item order (see `_drain`)."""
+        return self._drain(fn, deque(items))
+
+    def _drain(self, fn, items: deque):
+        """Yield fn(item) for each item popped from the left of `items`.
+
+        At most 2 x workers calls are submitted and not yet yielded, so only
+        a few results are held at a time. Each item is held only until its
+        call returns, so when the caller keeps no other reference, an item is
+        freed once it has been processed. If a call raises, or the consumer
+        stops early, the calls not yet started are cancelled before the
+        generator finishes; the exception raised is that of the first failing
+        item in item order. A consumer that may stop early closes the
+        generator (`contextlib.closing`), so that none of its calls stays
+        queued.
+        """
+        if self._executor is None:
+            while items:
+                yield fn(items.popleft())
+            return
         pending = deque()
         try:
             while items:
-                if len(pending) == 2 * workers:
+                if len(pending) == 2 * self.workers:
                     yield pending.popleft().result()
-                pending.append(pool.submit(fn, items.popleft()))
+                pending.append(self._executor.submit(fn, items.popleft()))
             while pending:
                 yield pending.popleft().result()
         finally:
             for future in pending:
                 future.cancel()
+
+
+def ordered_map(fn, items):
+    """Yield fn(item) for each item, in item order, on a `WorkerPool` opened
+    for this call alone and sized by the number of items (`WorkerPool._drain`
+    has the window, order and cancel rules). The workers are joined before
+    the generator finishes; a consumer that may stop early closes it
+    (`contextlib.closing`), so that no worker outlives its loop."""
+    items = deque(items)
+    with WorkerPool(len(items)) as pool:
+        yield from pool._drain(fn, items)
 
 
 class ContainerError(Exception):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -73,7 +74,12 @@ class FusionConfig:
 
 
 def _counter_draw(seed: int, step: int, k: int) -> int:
-    """Deterministic uniform draw from {0..k-1}, independent of call order."""
+    """Deterministic uniform draw from {0..k-1}, independent of call order.
+
+    `seed` and `step` may be any integers, NumPy's too: each is taken as a
+    Python int (`operator.index`) before its low 64 bits are hashed.
+    """
+    seed, step = operator.index(seed), operator.index(step)
     digest = hashlib.blake2b(
         struct.pack("<QQ", seed & 0xFFFFFFFFFFFFFFFF, step & 0xFFFFFFFFFFFFFFFF),
         digest_size=8,

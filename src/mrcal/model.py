@@ -27,11 +27,28 @@ come back in image order, so the maps are the same bit for bit at every
 thread count. The calling thread wraps each finished map in a
 `ForegroundProbMap`, which checks it and stores one copy, so the maps that
 outlive the pool are allocated there, not in the workers' malloc arenas,
-whose freed memory glibc mostly keeps resident. Worker threads call only
-private helpers (`_image_foreground`, `_band_loop`, `_channel_softmax`,
-`_sigmoid`, `ordinal._majority_mass`), never a public or traced name such as
-`predict`, `forward`, `_forward_logits`, `_softmax` or `aggregate_foreground`,
-which call the same helpers on the calling thread.
+whose freed memory glibc mostly keeps resident.
+
+`train` opens one `core.WorkerPool` for the whole call and runs each
+mini-batch's samples on it, one sample per task (`_sample_step`): forward,
+loss and, for a finite loss, backward, which only read the parameters. The
+calling thread takes the losses and gradients back in permutation order,
+raises on the first non-finite loss, sums the gradients in that order and
+applies the update, the same float arithmetic as a serial loop, so a
+checkpoint is the same bit for bit at every thread count. Each worker reuses
+one float64 buffer of 9 * C_h * max(H*W) values, made on the calling thread
+before the first batch: conv2's forward writes its im2col columns into it,
+and after the conv2 weight gradient has read them, the backward writes the
+columns of conv2's output gradient over them. So a step allocates no
+im2col-sized array, and a task's caches die with it. Random-sampling
+targets are drawn on the calling thread before a batch is submitted.
+
+Worker threads call only private helpers (`_image_foreground`, `_band_loop`,
+`_sample_step`, `_band_logits`, `_channel_softmax`, `_sigmoid`, `_logit_bce`,
+`_param_grads`, `ordinal._majority_mass`, `ordinal._loss_terms`), never a
+public or traced name such as `predict`, `forward`, `_forward_logits`,
+`_softmax`, `_sigmoid_bce`, `backward`, `hybrid_loss` or
+`aggregate_foreground`, which call the same helpers on the calling thread.
 
 Two arrays are stored pixel-major ((H, W, C) in memory, see
 `_pixel_major_like`): conv2's ReLU output, which the head's einsums read, and
@@ -51,6 +68,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,6 +77,7 @@ from .core import (
     DTYPE_F32,
     ForegroundProbMap,
     Grid2D,
+    WorkerPool,
     ordered_map,
     read_container,
     write_container,
@@ -66,7 +85,7 @@ from .core import (
 )
 from .fusion import DegenerateStack, FusionConfig, fuse
 from .ordinal import (
-    PROB_CLAMP, OrdinalProbMap, _majority_mass, hybrid_loss, orc_encode,
+    PROB_CLAMP, OrdinalProbMap, _loss_terms, _majority_mass, orc_encode,
 )
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -175,21 +194,28 @@ def _param_shapes(out_channels: int, hidden_channels: int) -> dict[str, tuple]:
     }
 
 
-def _padded_cols(padded: np.ndarray) -> np.ndarray:
+def _padded_cols(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Channels-first 3x3 columns of an already padded (C, H+2, W+2) input:
     (C*9, H*W).
 
     Row c*9 + 3*dy + dx holds x[c, i + dy - 1, j + dx - 1] at column i*W + j,
-    matching w.reshape(C_out, C*9) for w of shape (C_out, C, 3, 3).
+    matching w.reshape(C_out, C*9) for w of shape (C_out, C, 3, 3). With
+    `out`, a 1-D float64 buffer of at least C*9*H*W values, the columns are
+    written into its start and returned as a view of it, not a new array.
     """
     c, h, wd = padded.shape[0], padded.shape[1] - 2, padded.shape[2] - 2
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (C, H, W, 3, 3)
-    return windows.transpose(0, 3, 4, 1, 2).reshape(c * 9, h * wd)
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+    if out is None:
+        return windows.reshape(c * 9, h * wd)
+    cols = out[: c * 9 * h * wd].reshape(c * 9, h * wd)
+    cols.reshape(c, 3, 3, h, wd)[...] = windows
+    return cols
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """Channels-first 3x3 columns of x (C, H, W), zero padding 1: (C*9, H*W)."""
-    return _padded_cols(np.pad(x, ((0, 0), (1, 1), (1, 1))))
+def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Channels-first 3x3 columns of x (C, H, W), zero padding 1: (C*9, H*W),
+    written into `out` when given (`_padded_cols`)."""
+    return _padded_cols(np.pad(x, ((0, 0), (1, 1), (1, 1))), out)
 
 
 def _conv3x3(cols: np.ndarray, w: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
@@ -207,11 +233,12 @@ def _conv3x3_param_grads(cols: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     return (d_flat @ cols.T).reshape(w.shape), d_flat.sum(axis=1)
 
 
-def _conv3x3_input_grad(w: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    """Input gradient of a padded 3x3 conv: d_out correlated with the flipped kernel."""
+def _conv3x3_input_grad(w: np.ndarray, d_out: np.ndarray, cols=None) -> np.ndarray:
+    """Input gradient of a padded 3x3 conv: d_out correlated with the flipped
+    kernel, over d_out's columns (written into `cols` when given)."""
     c_out, c_in = w.shape[:2]
     w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * 9)
-    return (w_flip @ _im2col(d_out)).reshape(c_in, *d_out.shape[1:])
+    return (w_flip @ _im2col(d_out, cols)).reshape(c_in, *d_out.shape[1:])
 
 
 def _pixel_major_like(x: np.ndarray) -> np.ndarray:
@@ -229,15 +256,16 @@ def _bands(h: int, wd: int) -> list[tuple[int, int]]:
     return [(top, min(top + rows, h)) for top in range(0, h, rows)]
 
 
-def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int):
+def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int, cols=None):
     """Run the whole net for image rows [top, bottom): the band's head
     outputs (C_out, bottom - top, W) and its caches for backward.
 
     `padded` is the zero-padded (1, H+2, W+2) image. conv1 runs on the band
     plus a one-row halo above and below (clipped to the image), since conv2
     reads it; its ReLU goes into a zero-padded band buffer whose border rows
-    outside the image stay 0. The caches cover the whole image when the band
-    does.
+    outside the image stay 0. conv2's columns are written into `cols` when
+    it is given (training's per-worker buffer). The caches cover the whole
+    image when the band does.
     """
     h, wd = padded.shape[1] - 2, padded.shape[2] - 2
     lo, hi = max(top - 1, 0), min(bottom + 1, h)  # conv1 output rows
@@ -245,7 +273,7 @@ def _band_logits(net: TinyNet, padded: np.ndarray, top: int, bottom: int):
     z1 = _conv3x3(cols1, net.params["w1"], net.params["b1"], (hi - lo, wd))
     a1_padded = np.zeros((z1.shape[0], bottom - top + 2, wd + 2))
     a1 = np.maximum(z1, 0.0, out=a1_padded[:, lo - top + 1 : hi - top + 1, 1:-1])
-    cols2 = _padded_cols(a1_padded)
+    cols2 = _padded_cols(a1_padded, cols)
     z2 = _conv3x3(cols2, net.params["w2"], net.params["b2"], (bottom - top, wd))
     a2 = np.maximum(z2, 0.0, out=_pixel_major_like(z2))
     w3 = net.params["w3"][:, :, 0, 0]  # (C_out, C_h)
@@ -306,6 +334,13 @@ def forward(net: TinyNet, image: Grid2D):
 
 def backward(net: TinyNet, cache: dict, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients given the loss gradient at the head logits."""
+    return _param_grads(net, cache, d_logits)
+
+
+def _param_grads(net: TinyNet, cache: dict, d_logits: np.ndarray, cols=None):
+    """`backward`'s kernel. d_z2's columns are written into `cols` when it is
+    given, which may be the buffer that holds the forward's `cache["cols2"]`:
+    they are written only after the conv2 weight gradient has read those."""
     a2 = cache["a2"]
     w3 = net.params["w3"][:, :, 0, 0]
     d_w3 = np.einsum("ohw,chw->oc", d_logits, a2)[:, :, None, None]
@@ -313,7 +348,7 @@ def backward(net: TinyNet, cache: dict, d_logits: np.ndarray) -> dict[str, np.nd
     d_a2 = np.einsum("oc,ohw->chw", w3, d_logits)
     d_z2 = d_a2 * (cache["z2"] > 0)
     d_w2, d_b2 = _conv3x3_param_grads(cache["cols2"], net.params["w2"], d_z2)
-    d_a1 = _conv3x3_input_grad(net.params["w2"], d_z2)
+    d_a1 = _conv3x3_input_grad(net.params["w2"], d_z2, cols)
     d_z1 = np.multiply(d_a1, cache["z1"] > 0, out=_pixel_major_like(d_a1))
     d_w1, d_b1 = _conv3x3_param_grads(cache["cols1"], net.params["w1"], d_z1)
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "w3": d_w3, "b3": d_b3}
@@ -325,6 +360,11 @@ def _sigmoid_bce(logit: np.ndarray, target: np.ndarray):
     Returns (loss, gradient w.r.t. the logit). The gradient p - t is exact
     for the unclamped loss; the clamp (PROB_CLAMP) only guards the log.
     """
+    return _logit_bce(logit, target)
+
+
+def _logit_bce(logit: np.ndarray, target: np.ndarray):
+    """`_sigmoid_bce`'s kernel, under the name training workers call."""
     p = _sigmoid(logit)
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float((-(target * np.log(pc) + (1.0 - target) * np.log(1.0 - pc))).mean())
@@ -440,6 +480,11 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
     epoch at step = epoch * len(samples) + index. Each step applies the mean
     gradient of a batch_size slice of the epoch's permutation (the epoch's
     last batch may be shorter).
+
+    A batch's samples run on one `WorkerPool` opened for the whole call
+    (module docstring); their losses and gradients come back in permutation
+    order, where the first non-finite loss raises NonFiniteLoss and the
+    gradients are summed, so the result is the same at every thread count.
     """
     samples = list(samples)
     if not samples:
@@ -455,43 +500,61 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
     if cfg.loss == "hybrid_rps":
         out_channels = k + 1
         targets = [orc_encode(s.annotations) for s in samples]
+        target_of = lambda idx, step: targets[idx]
 
-        def objective(logits, idx, step):
-            return hybrid_loss(OrdinalProbMap(_softmax(logits), k), targets[idx], cfg.alpha)
+        def objective(logits, target):  # `hybrid_loss`'s arithmetic, untraced
+            bce, rps, d_logits = _loss_terms(
+                OrdinalProbMap(_channel_softmax(logits), k), target, cfg.alpha
+            )
+            return bce + cfg.alpha * rps, d_logits
     else:
         out_channels = 1
         if cfg.fusion.method == "rs":
-            target = lambda idx, step: _fused_target(samples[idx], cfg, step)[0]
+            target_of = lambda idx, step: _fused_target(samples[idx], cfg, step)[0]
         else:
             targets, perfs = zip(*(_fused_target(s, cfg, step=0) for s in samples))
             if perfs[0] is not None:  # STAPLE's rater performance on the first sample
                 extra["staple_rater_performance"] = perfs[0].to_dict()
-            target = lambda idx, step: targets[idx]
+            target_of = lambda idx, step: targets[idx]
 
-        def objective(logits, idx, step):
-            loss, d_logit = _sigmoid_bce(logits[0], target(idx, step))
+        def objective(logits, target):
+            loss, d_logit = _logit_bce(logits[0], target)
             return loss, d_logit[None]
 
     net = TinyNet.init(out_channels, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     trace = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(samples)).tolist()
-        losses = []
-        for start in range(0, len(samples), cfg.batch_size):
-            batch, total = order[start : start + cfg.batch_size], {}
-            for idx in batch:
-                logits, cache = _forward_logits(net, samples[idx].image.data)
-                loss, d_logits = objective(logits, idx, epoch * len(samples) + idx)
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
-                losses.append(loss)
-                grads = backward(net, cache, d_logits)
-                for name in PARAM_NAMES:  # a running sum: a list of grads raised peak RSS
-                    total[name] = total[name] + grads[name] if name in total else grads[name]
-            for name in PARAM_NAMES:
-                net.params[name] = net.params[name] - cfg.lr * (total[name] / len(batch))
-        trace.append(float(np.mean(losses)))
+    with WorkerPool(min(cfg.batch_size, len(samples))) as pool:
+        buffers = SimpleQueue()  # one column buffer per worker, made on this thread
+        size = 9 * net.hidden_channels * max(s.image.data.size for s in samples)
+        for _ in range(pool.workers):
+            buffers.put(np.empty(size))
+
+        def sample_step(job):
+            idx, target = job
+            cols = buffers.get()
+            try:
+                return _sample_step(net, samples[idx].image.data, objective, target, cols)
+            finally:
+                buffers.put(cols)
+
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(samples)).tolist()
+            losses = []
+            for start in range(0, len(samples), cfg.batch_size):
+                batch, total = order[start : start + cfg.batch_size], {}
+                jobs = [(idx, target_of(idx, epoch * len(samples) + idx)) for idx in batch]
+                with closing(pool.map(sample_step, jobs)) as results:
+                    for loss, grads in results:
+                        if not np.isfinite(loss):
+                            raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
+                        losses.append(loss)
+                        # a running sum: a list of grads raised peak RSS
+                        for name in PARAM_NAMES:
+                            total[name] = total[name] + grads[name] if name in total else grads[name]
+                for name in PARAM_NAMES:
+                    net.params[name] = net.params[name] - cfg.lr * (total[name] / len(batch))
+            trace.append(float(np.mean(losses)))
 
     config_echo = {
         "loss": cfg.loss,
@@ -514,6 +577,18 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
         seed=cfg.seed,
         extra=extra,
     )
+
+
+def _sample_step(net: TinyNet, image: np.ndarray, objective, target, cols: np.ndarray):
+    """One training sample, as a pool task: (loss, parameter gradients), the
+    gradients None when the loss is not finite. conv2's forward columns and
+    then d_z2's go into the worker's buffer `cols`; every array the step
+    allocates dies with it."""
+    logits, cache = _band_logits(net, np.pad(image, 1)[None], 0, image.shape[0], cols)
+    loss, d_logits = objective(logits, target)
+    if not np.isfinite(loss):
+        return loss, None
+    return loss, _param_grads(net, cache, d_logits, cols)
 
 
 def predict(checkpoint: Checkpoint, images) -> list[ForegroundProbMap]:

@@ -29,6 +29,7 @@ from mrcal.core import (
     TruncatedPayload,
     UnreadableFile,
     UnsupportedDtype,
+    WorkerPool,
     load_dataset,
     ordered_map,
     parse_manifest,
@@ -489,6 +490,31 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match="item 0"):
             list(ordered_map(work, range(10)))
         assert {0, 1} <= started <= {0, 1, 2}
+
+    def test_pool_serves_several_maps_then_joins(self, monkeypatch):
+        """One pool runs map after map on the same threads, as `train` runs
+        its batches; leaving it joins them."""
+        monkeypatch.setenv("MRCAL_THREADS", "3")
+        before = threading.active_count()
+        threads = set()
+
+        def record(i):
+            threads.add(threading.current_thread())
+            time.sleep(0.001)
+            return -i
+
+        with WorkerPool(10) as pool:
+            assert pool.workers == 3
+            for start in range(0, 40, 8):
+                assert list(pool.map(record, range(start, start + 8))) == [
+                    -i for i in range(start, start + 8)
+                ]
+        assert len(threads) <= 3
+        assert all(t.name.startswith("mrcal-worker") and not t.is_alive() for t in threads)
+        assert threading.active_count() == before
+        monkeypatch.setenv("MRCAL_THREADS", "8")
+        with WorkerPool(2) as pool:
+            assert pool.workers == 2  # never more workers than tasks
 
     def test_consumer_that_stops_early_joins_workers(self, monkeypatch):
         monkeypatch.setenv("MRCAL_THREADS", "4")

@@ -52,6 +52,15 @@ class TestRandomSampling:
         for _ in range(5):
             np.testing.assert_array_equal(fuse_random_sampling(stack, 7, 0).data, first)
 
+    def test_numpy_integer_seed_and_step(self):
+        stack = random_stack(np.random.default_rng(1), k=5)
+        expected, _ = fuse(stack, FusionConfig(method="rs", rng_seed=5), step=3)
+        got, _ = fuse(stack, FusionConfig(method="rs", rng_seed=np.int64(5)), step=np.int64(3))
+        np.testing.assert_array_equal(got.data, expected.data)
+        for seed, step in [(np.int64(-1), np.uint64(2 ** 64 - 1)), (np.int32(7), np.int8(-3))]:
+            expected = fusion._counter_draw(int(seed), int(step), 5)
+            assert fusion._counter_draw(seed, step, 5) == expected
+
     def test_uniform_frequency(self):
         # distinguishable raters: constant masks 0th voxel encodes identity
         masks = np.zeros((3, 1, 3), dtype=np.uint8)

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -14,11 +15,15 @@ from mrcal.model import (
     ArchitectureMismatch,
     Checkpoint,
     EmptyTrainSplit,
+    NonFiniteLoss,
     PARAM_NAMES,
     TinyNet,
     TrainConfig,
+    _band_logits,
     _forward_logits,
     _im2col,
+    _padded_cols,
+    _param_grads,
     _sigmoid_bce,
     _softmax,
     backward,
@@ -230,6 +235,41 @@ def naive_net(params, image, d_logits):
         "w3": d_w3[:, :, None, None], "b3": d_logits.sum(axis=(1, 2)),
     }
     return logits, grads
+
+
+class TestColumnBuffer:
+    """Training writes conv2's columns, then d_z2's, into one reused buffer
+    per worker; both paths equal the allocating ones bit for bit."""
+
+    @pytest.mark.parametrize("c", [1, 16])
+    def test_padded_cols_into_buffer(self, c):
+        padded = np.random.default_rng(c).random((c, 7 + 2, 11 + 2))
+        buf = np.full(c * 9 * 7 * 11 + 5, np.nan)
+        cols = _padded_cols(padded, out=buf)
+        assert np.shares_memory(cols, buf) and cols.flags.c_contiguous
+        assert cols.tobytes() == _padded_cols(padded).tobytes()
+        assert buf[: cols.size].tobytes() == cols.tobytes()
+        assert np.isnan(buf[cols.size :]).all()  # only the columns' share is written
+
+    @pytest.mark.parametrize("out, h, w", [(4, 9, 13), (1, 12, 5)])
+    def test_buffered_gradients_equal_backward(self, out, h, w):
+        rng = np.random.default_rng(h * w)
+        net = TinyNet.init(out, seed=h)
+        for name in ("b1", "b2", "b3"):
+            net.params[name] = rng.normal(scale=0.5, size=net.params[name].shape)
+        image = rng.random((h, w))
+        d_logits = rng.normal(size=(out, h, w))
+        buf = np.full(9 * net.hidden_channels * h * w, np.nan)
+        logits, cache = _band_logits(net, np.pad(image, 1)[None], 0, h, buf)
+        assert np.shares_memory(cache["cols2"], buf)
+        grads = _param_grads(net, cache, d_logits, buf)
+        ref_logits, ref_cache = _forward_logits(net, image)
+        ref = backward(net, ref_cache, d_logits)
+        assert logits.tobytes() == ref_logits.tobytes()
+        for name in PARAM_NAMES:
+            assert grads[name].tobytes() == ref[name].tobytes(), name
+        # the buffer now holds d_z2's columns, written over conv2's
+        assert buf.tobytes() != ref_cache["cols2"].tobytes()
 
 
 class TestConvOracle:
@@ -514,10 +554,36 @@ class TestTraining:
             loss=loss, fusion=FusionConfig(method=method, rng_seed=5), lr=0.05,
             epochs=3, batch_size=batch_size, seed=2,
         )
-        ckpt = train(samples, cfg)
         params, trace = reference_sgd(samples, cfg)
-        np.testing.assert_array_equal(ckpt.flat_params, params)
-        assert ckpt.loss_trace == trace
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more worker switches: a shared write would show
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("MRCAL_THREADS", threads)
+                ckpt = train(samples, cfg)
+                np.testing.assert_array_equal(ckpt.flat_params, params, err_msg=threads)
+                assert ckpt.loss_trace == trace, threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("loss", ["hybrid_rps", "bce_vs_fused"])
+    def test_non_finite_loss_on_the_pool(self, monkeypatch, loss):
+        """A NaN image raises the same NonFiniteLoss at every thread count, and
+        no worker outlives `train`, whether it returns or raises."""
+        samples = make_samples(6, np.random.default_rng(15), size=8)
+        cfg = TrainConfig(loss=loss, epochs=2, batch_size=4)
+        nan_sample = Sample(id="nan", image=Grid2D(np.full((8, 8), np.nan)),
+                            annotations=samples[4].annotations)
+        errors = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("MRCAL_THREADS", threads)
+            train(samples, cfg)
+            assert workers_alive() == []
+            with pytest.raises(NonFiniteLoss) as info:
+                train(samples[:4] + [nan_sample] + samples[5:], cfg)
+            assert workers_alive() == []
+            errors.append(str(info.value))
+        assert errors == ["epoch 0: loss is not finite"] * 2
 
     def test_defaults(self):
         cfg = TrainConfig()
@@ -525,6 +591,10 @@ class TestTraining:
         assert cfg.epochs == 20
         assert cfg.batch_size == 4
         assert cfg.alpha == 0.8
+
+
+def workers_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith("mrcal-worker")]
 
 
 def reference_sgd(samples, cfg):
