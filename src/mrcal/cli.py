@@ -107,9 +107,7 @@ def cmd_fuse(args, cfg: FusionConfig) -> int:
                 }
                 if perf is not None:
                     sidecar["rater_performance"] = perf.to_dict()
-                path.with_suffix(".mrc.json").write_text(
-                    json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-                )
+                path.with_suffix(".mrc.json").write_text(core.json_text(sidecar))
                 written.append(str(path))
     except OSError as exc:
         _diag(f"cannot write fused output: {exc}")

@@ -1,4 +1,4 @@
-"""Dense 2D array containers, mask types, dataset manifests and the MRC1 on-disk format.
+"""Dense 2D array containers, mask types, dataset manifests, and the MRC1 and JSON formats.
 
 The MRC1 container is a tiny little-endian binary layout used for every array
 this package writes to disk:
@@ -63,12 +63,13 @@ def _blas_threads(cpus: int) -> int:
 
 
 def thread_cap() -> int:
-    """Worker threads of `ordered_map`: MRCAL_THREADS, where 0 or unset
-    means the CPUs this process may run on divided by the BLAS thread count,
-    at least 1. Inference runs its GEMMs on BLAS's threads, so with BLAS
-    unpinned this is one worker; band workers on top of a multi-threaded
-    BLAS measured slower than one. Raises ValueError naming the variable and
-    its value when it is not a non-negative integer."""
+    """Worker threads of every `WorkerPool` (whole inference images, synth
+    samples, training samples): MRCAL_THREADS, where 0 or unset means the
+    CPUs this process may run on divided by the BLAS thread count, at least
+    1. The tasks run their GEMMs on BLAS's threads, so with BLAS unpinned
+    this is one worker; pool workers on top of a multi-threaded BLAS measured
+    slower than one. Raises ValueError naming the variable and its value when
+    it is not a non-negative integer."""
     raw = os.environ.get("MRCAL_THREADS", "0")
     try:
         cap = int(raw)
@@ -151,6 +152,11 @@ def ordered_map(fn, items):
     items = deque(items)
     with WorkerPool(len(items)) as pool:
         yield from pool._drain(fn, items)
+
+
+def json_text(obj) -> str:
+    """The one artifact JSON format: 2-space indent, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class ContainerError(Exception):
@@ -267,17 +273,18 @@ def majority_level(num_raters: int) -> int:
 
 @dataclass(frozen=True)
 class RaterStack:
-    """K binary masks for one image: one read-only (K, H, W) uint8 array."""
+    """K binary masks for one image: one read-only (K, H, W) uint8 array. The
+    values are checked before the cast, as in `BinaryMask`."""
 
     masks: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze(self.masks, np.uint8)
+        arr = np.asarray(self.masks)
         if arr.ndim != 3 or arr.size == 0:
             raise ValueError(f"RaterStack requires a nonempty (K, H, W) array, got {arr.shape}")
-        if arr.max() > 1:
+        if not _all_binary(arr):
             raise ValueError("RaterStack values must all be 0 or 1")
-        object.__setattr__(self, "masks", arr)
+        object.__setattr__(self, "masks", _freeze(arr, np.uint8))
 
     @property
     def num_raters(self) -> int:

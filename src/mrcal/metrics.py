@@ -18,12 +18,11 @@ kernel on one image.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryMask, DimensionMismatch, ForegroundProbMap
+from .core import BinaryMask, DimensionMismatch, ForegroundProbMap, json_text
 
 
 class SingleClassReference(Exception):
@@ -273,16 +272,13 @@ class MetricReport:
     mr_ece_boot_std: float
     auc_boot_mean: float | None
     auc_boot_std: float | None
-    num_bootstrap: int
-    resample_fraction: float
-    num_bins: int
-    ece_mode: str
-    seed: int
+    config: EvalConfig
     bins_csv_path: str = ""
     notes: dict = field(default_factory=dict)
     bins: CalibrationBins | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
+        cfg = self.config
         return {
             "mr_ece": {
                 "point": self.mr_ece,
@@ -295,18 +291,18 @@ class MetricReport:
                 "boot_std": self.auc_boot_std,
             },
             "config": {
-                "num_bootstrap": self.num_bootstrap,
-                "resample_fraction": self.resample_fraction,
-                "num_bins": self.num_bins,
-                "ece_mode": self.ece_mode,
-                "seed": self.seed,
+                "num_bootstrap": cfg.bootstrap_n,
+                "resample_fraction": cfg.bootstrap_frac,
+                "num_bins": cfg.num_bins,
+                "ece_mode": cfg.ece_mode,
+                "seed": cfg.seed,
             },
             "bins_csv_path": self.bins_csv_path,
             "notes": self.notes,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
 
 def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
@@ -347,11 +343,7 @@ def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
         mr_ece_boot_std=float(eces.std()),
         auc_boot_mean=float(aucs_arr.mean()) if have_auc else None,
         auc_boot_std=float(aucs_arr.std()) if have_auc else None,
-        num_bootstrap=cfg.bootstrap_n,
-        resample_fraction=cfg.bootstrap_frac,
-        num_bins=cfg.num_bins,
-        ece_mode=cfg.ece_mode,
-        seed=cfg.seed,
+        config=cfg,
         bins=point_bins,
     )
 

@@ -77,7 +77,9 @@ from .core import (
     DTYPE_F32,
     ForegroundProbMap,
     Grid2D,
+    NonFiniteValues,
     WorkerPool,
+    json_text,
     ordered_map,
     read_container,
     write_container,
@@ -89,6 +91,8 @@ from .ordinal import (
 )
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+F32_MAX = float(np.finfo(np.float32).max)  # a trained parameter must fit a checkpoint
 
 # Pixels per inference band (see `_bands`): 4096 pixels of conv2's
 # 16-channel columns are 4.7 MB, against 75 MB for a whole 256x256 image.
@@ -312,8 +316,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(logit: np.ndarray) -> np.ndarray:
-    """The package's one sigmoid, per voxel."""
-    return 1.0 / (1.0 + np.exp(-logit))
+    """The package's one sigmoid, per voxel. exp overflows to inf for a
+    logit below about -709, which gives the right 0; the warning is silenced
+    here, since NumPy's error state does not reach a pool's workers."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logit))
 
 
 def _check_size(*images: Grid2D) -> None:
@@ -418,7 +425,7 @@ class Checkpoint:
             "seed": self.seed,
             "extra": self.extra,
         }
-        text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        text = json_text(sidecar)
         write_together({
             path: lambda tmp: write_container(DTYPE_F32, (flat.size,), flat, tmp),
             path.with_suffix(path.suffix + ".json"): lambda tmp: tmp.write_text(text),
@@ -427,7 +434,8 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         """Read a checkpoint. A sidecar without `params_sha256` (written before
-        the field existed) loads unchecked."""
+        the field existed) loads unchecked. NaN or inf parameters raise
+        NonFiniteValues naming the file."""
         path = Path(path)
         _, dims, flat = read_container(path)
         sidecar_path = path.with_suffix(path.suffix + ".json")
@@ -456,6 +464,9 @@ class Checkpoint:
             raise ArchitectureMismatch(
                 f"{path}: parameters do not match the sha256 in {sidecar_path.name}"
             )
+        bad = int(np.count_nonzero(~np.isfinite(flat)))
+        if bad:
+            raise NonFiniteValues(f"{path}: {bad} of {flat.size} parameters are NaN or infinite")
         return checkpoint
 
 
@@ -485,6 +496,8 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
     (module docstring); their losses and gradients come back in permutation
     order, where the first non-finite loss raises NonFiniteLoss and the
     gradients are summed, so the result is the same at every thread count.
+    An update that leaves a parameter NaN, inf or beyond float32 (what a
+    checkpoint stores) raises NonFiniteLoss as well.
     """
     samples = list(samples)
     if not samples:
@@ -552,8 +565,11 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
                         # a running sum: a list of grads raised peak RSS
                         for name in PARAM_NAMES:
                             total[name] = total[name] + grads[name] if name in total else grads[name]
-                for name in PARAM_NAMES:
-                    net.params[name] = net.params[name] - cfg.lr * (total[name] / len(batch))
+                with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+                    for name in PARAM_NAMES:
+                        net.params[name] = net.params[name] - cfg.lr * (total[name] / len(batch))
+                if not all(np.abs(p).max() <= F32_MAX for p in net.params.values()):  # NaN too
+                    raise NonFiniteLoss(f"epoch {epoch}: a parameter is NaN, inf or beyond float32")
             trace.append(float(np.mean(losses)))
 
     config_echo = {

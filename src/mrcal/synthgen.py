@@ -21,15 +21,16 @@ so a dataset is byte-identical at every thread count.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import DTYPE_F32, DTYPE_U8, ordered_map, write_container
+from .core import (
+    DTYPE_F32, DTYPE_U8, DatasetManifest, ManifestEntry, json_text, ordered_map, write_container,
+)
 from .fusion import gaussian_filter_valid, gaussian_kernel_1d
 
 NOISE_SMOOTH_SIGMA = 1.0
@@ -136,9 +137,10 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
     """Write a full dataset directory; returns the manifest path.
 
     Layout: images/<id>.mrc (f32), raters/<id>_r<r>.mrc (u8),
-    latents/<id>.mrc (f32), manifest.json, synth_meta.json. The latents and
-    meta support the analytic consensus-probability oracle; they are not
-    part of the manifest schema.
+    latents/<id>.mrc (f32), manifest.json (the `DatasetManifest` that
+    `parse_manifest` reads back), synth_meta.json (with `cfg` as "config").
+    The latents and meta support the analytic consensus-probability oracle;
+    they are not part of the manifest schema.
     """
     out_dir = Path(out_dir)
     for sub in ("images", "raters", "latents"):
@@ -173,40 +175,17 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
             latent_path = f"latents/{sample_id}.mrc"
             write_container(DTYPE_F32, latent.shape, latent, out_dir / latent_path)
             latent_paths[sample_id] = latent_path
-            entries.append(
-                {
-                    "id": sample_id,
-                    "image_path": image_path,
-                    "rater_paths": rater_paths,
-                    "split": split_of[index],
-                }
-            )
+            entries.append(ManifestEntry(sample_id, image_path, rater_paths, split_of[index]))
 
-    manifest = {
-        "version": "1",
-        "num_raters": cfg.num_raters,
-        "samples": entries,
-    }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
+    manifest_path.write_text(json_text(asdict(DatasetManifest("1", cfg.num_raters, entries))))
     meta = {
         "generator": "mrcal-synth",
-        "config": {
-            "num_samples": cfg.num_samples,
-            "image_size": cfg.image_size,
-            "num_raters": cfg.num_raters,
-            "ambiguity": cfg.ambiguity,
-            "rater_bias_std": cfg.rater_bias_std,
-            "rater_noise_std": cfg.rater_noise_std,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "sigma_eff": effective_sigma(cfg),
         "latent_paths": latent_paths,
     }
-    (out_dir / "synth_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "synth_meta.json").write_text(json_text(meta))
     return manifest_path
 
 

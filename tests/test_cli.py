@@ -1030,6 +1030,66 @@ class TestEntryPoint:
             assert result.returncode == 0, result.stderr
 
 
+def _child(*argv, **variables):
+    return subprocess.run([sys.executable, "-m", "mrcal.cli", *argv],
+                          capture_output=True, text=True, env=child_env(**variables))
+
+
+class TestFloatingPointPolicy:
+    """A NumPy warning never reaches stderr, and a checkpoint holds only
+    finite float32 values: a training run exits 0 with nothing on stderr, or
+    3 with one line and no checkpoint written."""
+
+    @pytest.fixture(scope="class")
+    def many_raters(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("k40") / "ds"
+        assert main(["synth", "--out", str(data), "--n", "7", "--size", "8", "--raters", "40"]) == 0
+        return data
+
+    def _train(self, data, loss, lr, out, threads="1"):
+        result = _child("train", "--data", str(data), "--loss", loss, "--epochs", "5",
+                        "--lr", lr, "--out", str(out), MRCAL_THREADS=threads)
+        assert "RuntimeWarning" not in result.stderr
+        if result.returncode == 0:
+            assert result.stderr == ""
+            assert np.isfinite(read_container(out)[2]).all()
+        else:
+            assert result.returncode == 3 and result.stdout == "", result.stderr
+            assert result.stderr.startswith("training aborted: epoch ")
+            assert result.stderr.count("\n") == 1
+            assert not out.exists() and not out.with_suffix(".mrc.json").exists()
+        return result.returncode
+
+    def test_saturated_sigmoid_is_silent(self, tmp_path):
+        # exp overflows on a saturated negative logit; the sigmoid is still 0
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), "--n", "60", "--size", "64"]) == 0
+        assert self._train(data, "sc", "30", tmp_path / "sc.mrc") == 0
+
+    def test_float32_overflow_saves_no_checkpoint(self, many_raters, tmp_path):
+        # every loss stays finite (the BCE clips p) while parameters pass 3.4e38
+        assert self._train(many_raters, "mc", "1e20", tmp_path / "mc.mrc") == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("loss", ["sc", "mc", "rps"])
+    def test_learning_rate_grid(self, many_raters, tmp_path, loss, threads):
+        for lr in ("1e1", "1e5", "1e10", "1e20"):
+            self._train(many_raters, loss, lr, tmp_path / f"{lr}.mrc", threads)
+
+    def test_eval_rejects_non_finite_checkpoint(self, many_raters, tmp_path):
+        path = tmp_path / "nan.mrc"
+        assert main(["train", "--data", str(many_raters), "--loss", "mc", "--epochs", "1",
+                     "--out", str(path)]) == 0
+        ckpt = Checkpoint.load(path)
+        flat = ckpt.flat_params.copy()
+        flat[::7] = np.nan
+        dataclasses.replace(ckpt, flat_params=flat).save(path)
+        result = _child("eval", "--model", str(path), "--data", str(many_raters), "--split", "train")
+        assert result.returncode == 3 and result.stdout == ""
+        assert str(path) in result.stderr and "parameters are NaN" in result.stderr
+        assert result.stderr.count("\n") == 1
+
+
 INTS = ["-1", "0", "1", "2", "1.5", "abc", ""]
 FLOATS = ["-1", "0", "1e-300", "1e-9", "0.5", "1", "2", "nan", "inf", "-inf", "abc", ""]
 SEEDS = ["-1", "0", "7", "abc"]

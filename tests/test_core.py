@@ -544,6 +544,24 @@ def test_rater_stack_rejects_malformed_arrays():
         RaterStack(arr)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, -1.0, np.nan, np.uint8(2)])
+def test_rater_stack_checks_values_before_the_uint8_cast(bad):
+    # the cast would read 0.5 as 0, 1.7 as 1 and -1.0 as 255
+    arr = np.zeros((2, 3, 3), dtype=np.asarray(bad).dtype)
+    arr[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        RaterStack(arr)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.float64])
+def test_rater_stack_accepts_binary_values_of_any_dtype(dtype):
+    arr = np.zeros((2, 3, 3), dtype=dtype)
+    arr[0, 1, :] = 1
+    stack = RaterStack(arr)
+    assert stack.as_array().dtype == np.uint8
+    np.testing.assert_array_equal(stack.as_array(), arr)
+
+
 def test_rater_stack_is_one_read_only_array():
     arr = np.array([[[1, 0, 0]], [[1, 1, 0]], [[0, 0, 0]], [[0, 1, 1]]], dtype=np.uint8)
     stack = RaterStack(arr)

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from mrcal.core import BinaryMask, RaterStack
 from mrcal.metrics import (
     CalibrationBins,
+    EmptyTestSet,
     EvalConfig,
     InconsistentRaterCount,
     MetricReport,
@@ -269,6 +270,20 @@ class TestBootstrap:
         bootstrap_eval(preds, stacks, EvalConfig())
         assert [p.tobytes() for p in preds] == [c.tobytes() for c in copies]
 
+    @pytest.mark.parametrize("score, message", [(mr_ece, "no samples"),
+                                                (bootstrap_eval, "test set is empty")])
+    def test_empty_test_set(self, score, message):
+        with pytest.raises(EmptyTestSet, match=message):
+            score([], [], EvalConfig())
+
+    def test_report_config_is_the_eval_config(self):
+        preds, stacks = self._fixture()
+        cfg = EvalConfig(num_bins=7, bootstrap_n=3, bootstrap_frac=0.5, seed=2, ece_mode="top_label")
+        rep = bootstrap_eval(preds, stacks, cfg)
+        assert rep.config is cfg
+        assert rep.to_dict()["config"] == {"num_bootstrap": 3, "resample_fraction": 0.5,
+                                           "num_bins": 7, "ece_mode": "top_label", "seed": 2}
+
     def test_mean_approaches_point_estimate(self):
         preds, stacks = self._fixture(n=5)
         cfg = EvalConfig(bootstrap_frac=1.0, bootstrap_n=200, seed=1)
@@ -322,11 +337,7 @@ def _reference_bootstrap(preds, stacks, cfg) -> MetricReport:
         mr_ece_boot_std=float(eces.std()),
         auc_boot_mean=float(np.mean(aucs)) if have_auc else None,
         auc_boot_std=float(np.std(aucs)) if have_auc else None,
-        num_bootstrap=cfg.bootstrap_n,
-        resample_fraction=cfg.bootstrap_frac,
-        num_bins=cfg.num_bins,
-        ece_mode=cfg.ece_mode,
-        seed=cfg.seed,
+        config=cfg,
     )
 
 

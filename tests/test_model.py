@@ -2,7 +2,9 @@ import json
 import os
 import sys
 import threading
+import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from mrcal.model import (
     _im2col,
     _padded_cols,
     _param_grads,
+    _sigmoid,
     _sigmoid_bce,
     _softmax,
     backward,
@@ -97,6 +100,21 @@ class TestForward:
         net = TinyNet.init(1, seed=2)
         out = forward(net, Grid2D(np.random.default_rng(2).random((8, 8))))
         assert out.data.min() > 0.0 and out.data.max() < 1.0
+
+    def test_saturated_sigmoid_warns_on_no_thread(self, monkeypatch):
+        """exp overflows to inf below a logit of about -709, which gives the
+        right 0. NumPy's error state does not reach a pool's workers, so
+        `_sigmoid` silences the warning itself: it is raised as an error
+        neither on the calling thread nor in a WorkerPool task."""
+        logit = np.array([-1000.0, 0.0, 1000.0])
+        monkeypatch.setenv("MRCAL_THREADS", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            np.testing.assert_array_equal(_sigmoid(logit), [0.0, 0.5, 1.0])
+            with core.WorkerPool(2) as pool:
+                assert pool.workers == 2
+                for p in pool.map(_sigmoid, [logit] * 4):
+                    np.testing.assert_array_equal(p, [0.0, 0.5, 1.0])
 
     def test_translation_equivariance_interior(self):
         # fully convolutional: shifting the input shifts the output, away
@@ -585,6 +603,17 @@ class TestTraining:
             errors.append(str(info.value))
         assert errors == ["epoch 0: loss is not finite"] * 2
 
+    @pytest.mark.parametrize("loss", ["hybrid_rps", "bce_vs_fused"])
+    def test_diverging_parameters_raise(self, monkeypatch, loss):
+        """A parameter that leaves the float32 range (the checkpoint's) raises
+        NonFiniteLoss naming the epoch, while every loss is still finite."""
+        samples = make_samples(4, np.random.default_rng(21), size=8)
+        cfg = TrainConfig(loss=loss, lr=1e300, epochs=3, fusion=FusionConfig(method="mc"))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MRCAL_THREADS", threads)
+            with pytest.raises(NonFiniteLoss, match="epoch 0: a parameter is NaN, inf or beyond"):
+                train(samples, cfg)
+
     def test_defaults(self):
         cfg = TrainConfig()
         assert cfg.lr == 0.01
@@ -678,6 +707,16 @@ class TestCheckpoint:
         os.replace(tmp_path / "second.mrc", tmp_path / "first.mrc")
         with pytest.raises(ArchitectureMismatch, match="sha256"):
             Checkpoint.load(tmp_path / "first.mrc")
+
+    def test_non_finite_parameters_rejected(self, tmp_path):
+        ckpt = train(make_samples(2, np.random.default_rng(20)), TrainConfig(epochs=1))
+        flat = ckpt.flat_params.copy()
+        flat[[3, 7]] = np.nan, np.inf
+        path = tmp_path / "model.mrc"
+        replace(ckpt, flat_params=flat).save(path)  # its sidecar's sha256 matches
+        with pytest.raises(core.NonFiniteValues, match=f"2 of {flat.size} parameters") as info:
+            Checkpoint.load(path)
+        assert str(path) in str(info.value)
 
     def test_sidecar_without_digest_loads(self, tmp_path):
         rng = np.random.default_rng(19)
