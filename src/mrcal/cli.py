@@ -6,10 +6,12 @@ memory, 2 usage error, 3 numerical failure, 4 metric undefined (single-class
 AUC).
 
 Before any data is read, `main` checks MRCAL_THREADS and each command builds
-its config dataclass from the arguments; `main` maps their ValueError to
-exit 2. `main` also maps a dataset that cannot be loaded (`DatasetError`) and
-a failed allocation (`MemoryError`) to exit 1 with one stderr line. An output
-path that cannot be written exits 1.
+its config dataclass from the flags given (`_from_flags`): each flag's `dest`
+is its field's name, and every field whose flag is not given keeps its
+dataclass default, so the defaults live only in the dataclasses. `main` maps
+their ValueError to exit 2. `main` also maps a dataset that cannot be loaded
+(`DatasetError`) and a failed allocation (`MemoryError`) to exit 1 with one
+stderr line. An output path that cannot be written exits 1.
 
 MRCAL_THREADS sizes the worker pool (`core.WorkerPool`) that runs inference
 images, synthetic samples and the samples of each training batch (0 or unset
@@ -23,6 +25,8 @@ permutation order, so the output never depends on it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,7 +38,7 @@ import numpy as np
 from . import core, metrics, model, synthgen
 from .core import BinaryMask, DatasetError, ForegroundProbMap, load_dataset
 from .fusion import METHODS, DegenerateStack, FusionConfig, fuse
-from .metrics import EvalConfig, SingleClassReference, bootstrap_eval, mr_ece, reliability_csv
+from .metrics import EvalConfig, bootstrap_eval, mr_ece, reliability_csv
 from .model import Checkpoint, NonFiniteLoss, TrainConfig, predict, train
 from .synthgen import SynthConfig, generate, true_consensus_probability
 
@@ -53,16 +57,12 @@ def _diag(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _synth_config(args) -> SynthConfig:
-    return SynthConfig(
-        num_samples=args.n,
-        image_size=args.size,
-        num_raters=args.raters,
-        ambiguity=args.ambiguity,
-        rater_bias_std=args.rater_bias_std,
-        rater_noise_std=args.rater_noise_std,
-        seed=args.seed,
-    )
+def _from_flags(config_type, args, **fixed):
+    """A `config_type` from the flags in `args` named after its fields, and
+    from `fixed`; each field set by neither keeps its dataclass default."""
+    names = {f.name for f in dataclasses.fields(config_type)}
+    given = {name: value for name, value in vars(args).items() if name in names}
+    return config_type(**(given | fixed))
 
 
 def cmd_synth(args, cfg: SynthConfig) -> int:
@@ -71,18 +71,9 @@ def cmd_synth(args, cfg: SynthConfig) -> int:
     except OSError as exc:
         _diag(f"synth failed: {exc}")
         return EXIT_IO
-    n_train, n_val, n_test = synthgen.split_sizes(cfg.num_samples)
-    _emit(
-        {
-            "manifest": str(manifest_path),
-            "splits": {"train": n_train, "val": n_val, "test": n_test},
-        }
-    )
+    splits = dict(zip(core.SPLITS, synthgen.split_sizes(cfg.num_samples)))
+    _emit({"manifest": str(manifest_path), "splits": splits})
     return EXIT_OK
-
-
-def _fusion_config(args) -> FusionConfig:
-    return FusionConfig(method=args.method, sigma=args.sigma, rng_seed=args.seed or 0)
 
 
 def cmd_fuse(args, cfg: FusionConfig) -> int:
@@ -118,19 +109,13 @@ def cmd_fuse(args, cfg: FusionConfig) -> int:
 
 def _train_config(args) -> TrainConfig:
     """`--loss rps` trains the ordinal head and ignores `--sigma`; every other
-    loss trains against that fusion method's targets."""
-    rps = args.loss == "rps"
-    return TrainConfig(
-        loss="hybrid_rps" if rps else "bce_vs_fused",
-        alpha=args.alpha,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        fusion=FusionConfig() if rps else FusionConfig(
-            method=args.loss, sigma=args.sigma, rng_seed=args.seed
-        ),
-    )
+    loss trains against that fusion method's targets, drawn with the
+    training seed."""
+    if args.loss == "rps":
+        return _from_flags(TrainConfig, args, loss="hybrid_rps")
+    seed = getattr(args, "seed", TrainConfig.seed)
+    fusion = _from_flags(FusionConfig, args, method=args.loss, rng_seed=seed)
+    return _from_flags(TrainConfig, args, loss="bce_vs_fused", fusion=fusion)
 
 
 def cmd_train(args, cfg: TrainConfig) -> int:
@@ -170,11 +155,10 @@ def _oracle_predictions(data_dir: Path, samples):
     return preds
 
 
-def _model_predictions(model_path: str, samples: list):
+def _model_predictions(model_path: str, checkpoint: Checkpoint, samples: list):
     """The checkpoint's maps of the samples' images. Takes every sample out
     of `samples`, so that only `predict` holds the images and frees each one
     once it is predicted."""
-    checkpoint = Checkpoint.load(model_path)
     k = samples[0].annotations.num_raters
     if checkpoint.num_raters != k:
         raise model.ArchitectureMismatch(
@@ -196,19 +180,14 @@ def _eval_config(args) -> EvalConfig:
         os.path.realpath(args.report) == os.path.realpath(args.reliability)
     ):
         raise ValueError(f"--report and --reliability name the same file: {args.reliability}")
-    return EvalConfig(
-        num_bins=args.bins,
-        bootstrap_n=args.bootstrap,
-        bootstrap_frac=args.frac,
-        seed=args.seed,
-        ece_mode=args.ece_mode,
-    )
+    return _from_flags(EvalConfig, args)
 
 
-def _prediction_failure(exc: Exception) -> int:
-    """Exit code of a failed model load or `predict`, after one stderr line."""
+def _prediction_failure(exc: Exception, values: str) -> int:
+    """Exit code of a failed model load or `predict`, after one stderr line;
+    `values` names what a `NonFiniteValues` found NaN or inf in."""
     if isinstance(exc, core.NonFiniteValues):
-        _diag(f"non-finite predictions: {exc}")
+        _diag(f"non-finite {values}: {exc}")
         return EXIT_NUMERIC
     _diag(f"cannot load model/predictions: {exc}")
     return EXIT_IO
@@ -221,17 +200,22 @@ def cmd_eval(args, cfg: EvalConfig) -> int:
         _diag(f"split {args.split!r} is empty")
         return EXIT_IO
     stacks = [s.annotations for s in samples]
-    try:
-        if args.model == "oracle":
-            preds = _oracle_predictions(data_dir, samples)
-        else:
-            preds = _model_predictions(args.model, samples)
-    except (
+    failures = (
         # ValueError and TypeError: a sidecar or synth_meta.json that is not
         # UTF-8 JSON, or whose config SynthConfig rejects
         OSError, KeyError, TypeError, ValueError, core.ContainerError, model.ArchitectureMismatch
-    ) as exc:
-        return _prediction_failure(exc)
+    )
+    try:
+        checkpoint = None if args.model == "oracle" else Checkpoint.load(args.model)
+    except failures as exc:
+        return _prediction_failure(exc, "parameters")
+    try:
+        if checkpoint is None:
+            preds = _oracle_predictions(data_dir, samples)
+        else:
+            preds = _model_predictions(args.model, checkpoint, samples)
+    except failures as exc:
+        return _prediction_failure(exc, "predictions")
     del samples  # only the rater stacks are scored from here on
 
     report = bootstrap_eval(preds, stacks, cfg)
@@ -298,10 +282,7 @@ def _sweep_config(args) -> list[TrainConfig]:
         raise ValueError(f"unsupported sweep parameter {args.param!r}")
     if args.metric != "mr_ece":
         raise ValueError(f"unsupported sweep metric {args.metric!r}")
-    return [
-        TrainConfig(loss="hybrid_rps", alpha=value, lr=args.lr, epochs=args.epochs, seed=args.seed)
-        for value in _parse_grid(args.values)
-    ]
+    return [_from_flags(TrainConfig, args, alpha=value) for value in _parse_grid(args.values)]
 
 
 def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
@@ -310,7 +291,7 @@ def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
         _diag("sweep needs nonempty train and val splits")
         return EXIT_IO
 
-    eval_cfg = EvalConfig(seed=args.seed)
+    eval_cfg = _from_flags(EvalConfig, args)
     table = []
     for cfg in cfgs:
         try:
@@ -321,7 +302,7 @@ def cmd_sweep(args, cfgs: list[TrainConfig]) -> int:
         try:
             preds = [p.data for p in predict(checkpoint, [s.image for s in dataset["val"]])]
         except ValueError as exc:  # includes NonFiniteValues
-            return _prediction_failure(exc)
+            return _prediction_failure(exc, "predictions")
         stacks = [s.annotations for s in dataset["val"]]
         metric_value, _ = mr_ece(preds, stacks, eval_cfg)
         table.append({"value": cfg.alpha, "metric": metric_value})
@@ -346,68 +327,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ordinal-consensus calibrated segmentation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag not given is absent from the parsed args; only the CLI's own
+    # flags, which set no config field, have a default. A flag named unlike
+    # its field keeps its name as metavar, so usage text is unchanged.
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("synth", help="generate a synthetic multi-rater dataset")
+    p = command("synth", help="generate a synthetic multi-rater dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--raters", type=int, default=3)
-    p.add_argument("--ambiguity", type=float, default=0.5)
-    p.add_argument("--rater-bias-std", type=float, default=0.1)
-    p.add_argument("--rater-noise-std", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth, config=_synth_config)
+    p.add_argument("--n", type=int, dest="num_samples", metavar="N")
+    p.add_argument("--size", type=int, dest="image_size", metavar="SIZE")
+    p.add_argument("--raters", type=int, dest="num_raters", metavar="RATERS")
+    p.add_argument("--ambiguity", type=float)
+    p.add_argument("--rater-bias-std", type=float)
+    p.add_argument("--rater-noise-std", type=float)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=cmd_synth, config=functools.partial(_from_flags, SynthConfig))
 
-    p = sub.add_parser("fuse", help="write fused supervision targets")
+    p = command("fuse", help="write fused supervision targets")
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--seed", type=int, dest="rng_seed", metavar="SEED")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse, config=_fusion_config)
+    p.set_defaults(func=cmd_fuse, config=functools.partial(_from_flags, FusionConfig))
 
-    p = sub.add_parser("train", help="train a segmentation model")
+    p = command("train", help="train a segmentation model")
     p.add_argument("--data", required=True)
     p.add_argument(
         "--loss",
         required=True,
         choices=("rps", "rs", "mc", "sc", "scg", "staple", "simple", "svls"),
     )
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train, config=_train_config)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint (or the synth oracle)")
+    p = command("eval", help="evaluate a checkpoint (or the synth oracle)")
     p.add_argument("--model", required=True, help="checkpoint path or 'oracle'")
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=core.SPLITS)
-    p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--bootstrap", type=int, default=10)
-    p.add_argument("--frac", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bins", type=int, dest="num_bins", metavar="BINS")
+    p.add_argument("--bootstrap", type=int, dest="bootstrap_n", metavar="BOOTSTRAP")
+    p.add_argument("--frac", type=float, dest="bootstrap_frac", metavar="FRAC")
+    p.add_argument("--seed", type=int)
     p.add_argument("--report", default=None)
     p.add_argument("--reliability", default=None)
-    p.add_argument(
-        "--ece-mode", default="frequency", choices=("frequency", "top_label")
-    )
+    p.add_argument("--ece-mode", choices=("frequency", "top_label"))
     p.set_defaults(func=cmd_eval, config=_eval_config)
 
-    p = sub.add_parser("sweep", help="grid sweep of a hyperparameter on the val split")
+    p = command("sweep", help="grid sweep of a hyperparameter on the val split")
     p.add_argument("--data", required=True)
     p.add_argument("--param", default="alpha")
     p.add_argument("--values", required=True, help="start:stop:step (inclusive)")
     p.add_argument("--metric", default="mr_ece")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_sweep, config=_sweep_config)
 
-    p = sub.add_parser("report", help="echo a metric report JSON to stdout")
+    p = command("report", help="echo a metric report JSON to stdout")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_report, config=lambda args: None)
 
@@ -417,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fuse" and args.method == "rs" and args.seed is None:
+    if args.command == "fuse" and args.method == "rs" and "rng_seed" not in args:
         parser.error("--method rs requires --seed")
     try:
         core.thread_cap()
@@ -427,9 +410,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, cfg)
-    except SingleClassReference as exc:
-        _diag(str(exc))
-        return EXIT_UNDEFINED
     except DatasetError as exc:
         _diag(f"cannot load dataset: {exc}")
         return EXIT_IO

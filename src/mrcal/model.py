@@ -65,7 +65,7 @@ import hashlib
 import json
 import math
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 from queue import SimpleQueue
@@ -573,12 +573,7 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
             trace.append(float(np.mean(losses)))
 
     config_echo = {
-        "loss": cfg.loss,
-        "alpha": cfg.alpha,
-        "lr": cfg.lr,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
+        **{name: value for name, value in asdict(cfg).items() if name != "fusion"},
         "hidden_channels": net.hidden_channels,
         "fusion_method": cfg.fusion.method,
         "fusion_sigma": cfg.fusion.sigma,

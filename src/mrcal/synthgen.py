@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DTYPE_F32, DTYPE_U8, DatasetManifest, ManifestEntry, json_text, ordered_map, write_container,
+    DTYPE_F32, DTYPE_U8, SPLITS, DatasetManifest, ManifestEntry, json_text, ordered_map,
+    write_container,
 )
 from .fusion import gaussian_filter_valid, gaussian_kernel_1d
 
@@ -127,7 +128,8 @@ def _sample(cfg: SynthConfig, index: int):
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
-    """70/15/15 with floor on train and val; remainder goes to test."""
+    """The split sizes in `SPLITS` order: 70/15/15 with floor on train and
+    val; the remainder goes to test."""
     n_train = int(math.floor(SPLIT_FRACTIONS[0] * n))
     n_val = int(math.floor(SPLIT_FRACTIONS[1] * n))
     return n_train, n_val, n - n_train - n_val
@@ -146,17 +148,8 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
     for sub in ("images", "raters", "latents"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
-    n_train, n_val, n_test = split_sizes(cfg.num_samples)
-    split_rng = np.random.default_rng([cfg.seed, cfg.num_samples])
-    order = split_rng.permutation(cfg.num_samples)
-    split_of = {}
-    for pos, idx in enumerate(order):
-        if pos < n_train:
-            split_of[int(idx)] = "train"
-        elif pos < n_train + n_val:
-            split_of[int(idx)] = "val"
-        else:
-            split_of[int(idx)] = "test"
+    order = np.random.default_rng([cfg.seed, cfg.num_samples]).permutation(cfg.num_samples)
+    split_of = dict(zip(order.tolist(), np.repeat(SPLITS, split_sizes(cfg.num_samples)).tolist()))
 
     entries = []
     latent_paths = {}

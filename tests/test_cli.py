@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import child_env
 from mrcal import fusion, model
-from mrcal.cli import (
-    _eval_config, _fusion_config, _parse_grid, _synth_config, _train_config, build_parser, main,
-)
+from mrcal.cli import _parse_grid, build_parser, main
 from mrcal.metrics import EvalConfig
 from mrcal.model import Checkpoint, TrainConfig
 from mrcal.synthgen import SynthConfig
@@ -211,6 +209,25 @@ class TestManifestIds:
         assert err.startswith(f"cannot load dataset: {manifest}: sample id {bad_id!r}")
         assert err.count("\n") == 1
         assert all(p == out or out in p.parents for p in set(tmp_path.rglob("*")) - before)
+
+
+class TestEmptySplits:
+    @pytest.fixture(scope="class")
+    def one_image(self, tmp_path_factory):
+        """A dataset whose only image is in the test split."""
+        out = tmp_path_factory.mktemp("one") / "ds"
+        assert main(["synth", "--out", str(out), "--n", "1", "--size", "16"]) == 0
+        return out
+
+    def test_eval_of_an_empty_split(self, capsys, one_image):
+        code, out, err = run_cli(
+            capsys, "eval", "--model", "oracle", "--data", str(one_image), "--split", "train"
+        )
+        assert (code, out, err) == (1, "", "split 'train' is empty\n")
+
+    def test_sweep_needs_train_and_val(self, capsys, one_image):
+        code, out, err = run_cli(capsys, "sweep", "--data", str(one_image), "--values", "0.5")
+        assert (code, out, err) == (1, "", "sweep needs nonempty train and val splits\n")
 
 
 class TestTrainEval:
@@ -814,21 +831,21 @@ class TestInvalidConfig:
         assert code == 0
 
 
-# Per command: its config builder and type, the argv of its required flags,
-# and a non-default value for every other flag
+# Per command: its config type, the argv of its required flags, and a
+# non-default value for every other flag
 ALL_FLAGS = {
-    "synth": (_synth_config, SynthConfig, ["--out", "o"], [
+    "synth": (SynthConfig, ["--out", "o"], [
         "--n", "7", "--size", "17", "--raters", "4", "--ambiguity", "0.3",
         "--rater-bias-std", "0.2", "--rater-noise-std", "0.3", "--seed", "5",
     ]),
-    "fuse": (_fusion_config, FusionConfig, ["--data", "d", "--method", "scg", "--out", "o"], [
+    "fuse": (FusionConfig, ["--data", "d", "--method", "scg", "--out", "o"], [
         "--sigma", "2", "--seed", "5",
     ]),
-    "train": (_train_config, TrainConfig, ["--data", "d", "--loss", "scg", "--out", "o"], [
+    "train": (TrainConfig, ["--data", "d", "--loss", "scg", "--out", "o"], [
         "--alpha", "0.5", "--lr", "0.1", "--epochs", "3", "--batch-size", "2",
         "--sigma", "2", "--seed", "5",
     ]),
-    "eval": (_eval_config, EvalConfig, ["--model", "m", "--data", "d"], [
+    "eval": (EvalConfig, ["--model", "m", "--data", "d"], [
         "--split", "val", "--bins", "7", "--bootstrap", "3", "--frac", "0.5", "--seed", "5",
         "--report", "r", "--reliability", "c", "--ece-mode", "top_label",
     ]),
@@ -839,17 +856,40 @@ ALL_FLAGS = {
 def test_every_config_field_is_set_by_a_flag(command):
     """A config field that no flag moves off its default is a constant in
     disguise: with every flag off its default, every field is too."""
-    builder, config_type, required, flags = ALL_FLAGS[command]
+    config_type, required, flags = ALL_FLAGS[command]
     parser = build_parser()
     defaults = vars(parser.parse_args([command, *required]))
     args = parser.parse_args([command, *required, *flags])
-    unset = {name for name, value in vars(args).items() if value == defaults[name]}
+    unset = {name for name, value in defaults.items() if value == vars(args)[name]}
     assert unset == {"command", "func", "config"} | {a[2:] for a in required[::2]}
-    cfg = builder(args)
+    cfg = args.config(args)
     assert type(cfg) is config_type
     for f in dataclasses.fields(config_type):
         default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
         assert getattr(cfg, f.name) != default, f"{command}: {f.name} keeps its default"
+
+
+REQUIRED_ONLY = [
+    (["synth", "--out", "o"], SynthConfig()),
+    *((["fuse", "--data", "d", "--method", m, "--out", "o"], FusionConfig(method=m))
+      for m in METHODS),
+    (["eval", "--model", "m", "--data", "d"], EvalConfig()),
+    (["train", "--data", "d", "--loss", "rps", "--out", "o"], TrainConfig()),
+    *((["train", "--data", "d", "--loss", m, "--out", "o"],
+       TrainConfig(loss="bce_vs_fused", fusion=FusionConfig(method=m))) for m in METHODS),
+    (["sweep", "--data", "d", "--values", "0.2:0.6:0.2"],
+     [TrainConfig(alpha=v) for v in _parse_grid("0.2:0.6:0.2")]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", REQUIRED_ONLY, ids=[" ".join(argv) for argv, _ in REQUIRED_ONLY]
+)
+def test_required_flags_alone_give_the_dataclass_defaults(argv, expected):
+    """The protocol a bare command runs is the dataclasses' (15 bins, a
+    10 x 0.6 bootstrap, sigma 1, ...): the CLI holds no default of its own."""
+    args = build_parser().parse_args(argv)
+    assert args.config(args) == expected
 
 
 class TestSweep:
@@ -881,6 +921,14 @@ class TestSweep:
             capsys, "sweep", "--data", str(dataset), "--values", "oops"
         )
         assert code == 2
+
+    def test_diverging_training_is_a_numerical_failure(self, capsys, dataset):
+        code, out, err = run_cli(
+            capsys, "sweep", "--data", str(dataset), "--values", "0.5", "--epochs", "3",
+            "--lr", "1e300",
+        )
+        assert (code, out) == (3, "")
+        assert err == "alpha=0.5: epoch 0: a parameter is NaN, inf or beyond float32\n"
 
     @pytest.mark.parametrize("edit", ["nan-pixel", "2x2-image"])
     def test_val_image_that_predict_rejects(self, capsys, dataset, tmp_path, edit):
@@ -1086,7 +1134,9 @@ class TestFloatingPointPolicy:
         dataclasses.replace(ckpt, flat_params=flat).save(path)
         result = _child("eval", "--model", str(path), "--data", str(many_raters), "--split", "train")
         assert result.returncode == 3 and result.stdout == ""
-        assert str(path) in result.stderr and "parameters are NaN" in result.stderr
+        # the load rejects it: no prediction ran
+        assert result.stderr.startswith(f"non-finite parameters: {path}: ")
+        assert "parameters are NaN" in result.stderr
         assert result.stderr.count("\n") == 1
 
 

@@ -19,6 +19,7 @@ from mrcal.core import (
     ContainerError,
     CorruptFile,
     DimensionMismatch,
+    DimOverflow,
     ForegroundProbMap,
     Grid2D,
     ManifestParseError,
@@ -130,6 +131,8 @@ def test_u8_prob_rescale_rule(tmp_path):
 def test_grid_invariants():
     with pytest.raises(ValueError):
         Grid2D(np.zeros(5))
+    with pytest.raises(ValueError, match="dims must be positive"):
+        Grid2D(np.zeros((0, 3)))
     g = Grid2D(np.zeros((2, 3)))
     assert g.shape == (2, 3)
     with pytest.raises(ValueError):
@@ -638,6 +641,21 @@ def test_manifest_sample_id_rejected(tmp_path, second_id, reason):
     assert str(path) in str(exc.value) and repr(second_id) in str(exc.value)
     with pytest.raises(ManifestParseError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("dtype, dims, error, message", [
+    (7, (2,), UnsupportedDtype, "dtype code 7"),
+    (DTYPE_U8, (), ContainerError, "ndim must be 1-3, got 0"),
+    (DTYPE_U8, (1, 1, 1, 1), ContainerError, "ndim must be 1-3, got 4"),
+    (DTYPE_U8, (2, 0), ContainerError, "dims must be >= 1"),
+    # 2^33 elements: rejected before the payload is converted or anything allocated
+    (DTYPE_F32, (2**16, 2**16, 2), DimOverflow, "exceeds 2\\^32"),
+])
+def test_write_container_rejects_bad_header(tmp_path, dtype, dims, error, message):
+    path = tmp_path / "a.mrc"
+    with pytest.raises(error, match=message):
+        write_container(dtype, dims, [], path)
+    assert not path.exists()
 
 
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):

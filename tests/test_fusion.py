@@ -484,3 +484,18 @@ class TestSharedInvariants:
         for hard in (fuse_median(stack), fuse_simple(stack)):
             assert hard.data.shape == (9, 7)
             assert set(np.unique(hard.data)) <= {0, 1}
+
+
+@pytest.mark.parametrize("sensitivity, specificity", [
+    ((0.5, 1.0), (0.5, 0.5)),
+    ((0.5,), (0.0,)),
+    ((float("nan"),), (0.5,)),
+])
+def test_rater_performance_outside_the_open_unit_interval(sensitivity, specificity):
+    with pytest.raises(ValueError, match=r"outside \(0,1\)"):
+        RaterPerformance(sensitivity, specificity)
+
+
+def test_fuse_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown fusion method 'bogus'"):
+        fuse(stack_from([[[0, 1]], [[1, 1]]]), FusionConfig(method="bogus"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mrcal.core import BinaryMask, RaterStack
+from mrcal.core import BinaryMask, DimensionMismatch, RaterStack
 from mrcal.metrics import (
     CalibrationBins,
     EmptyTestSet,
@@ -123,6 +123,13 @@ class TestMrEce:
         with pytest.raises(InconsistentRaterCount, match="expected K=3, got K=2"):
             score(preds, stacks, EvalConfig())
 
+    def test_mismatched_inputs(self):
+        stack = stack_from(np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="equal length"):
+            mr_ece([np.zeros((2, 2))] * 2, [stack], EvalConfig())
+        with pytest.raises(DimensionMismatch, match=r"prediction \(2, 3\) vs stack \(2, 2\)"):
+            mr_ece([np.zeros((2, 3))], [stack], EvalConfig())
+
 
 class TestBinning:
     def test_exhaustive_exclusive(self):
@@ -177,6 +184,15 @@ class TestEceSingle:
                 )
         got = ece_single(pred, BinaryMask(mask_arr), EvalConfig())
         assert abs(got - expected) < 1e-12
+
+    def test_shape_mismatch(self):
+        mask = BinaryMask(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(DimensionMismatch, match=r"prediction \(2, 3\) vs mask \(2, 2\)"):
+            ece_single(np.zeros((2, 3)), mask, EvalConfig())
+
+    def test_unknown_ece_mode(self):
+        with pytest.raises(ValueError, match="unknown ece_mode 'x'"):
+            EvalConfig(ece_mode="x")
 
 
 class TestAuc:

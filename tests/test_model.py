@@ -475,6 +475,19 @@ class TestPredict:
 
 
 class TestTraining:
+    def test_unknown_loss(self):
+        with pytest.raises(ValueError, match="unknown loss 'x'"):
+            TrainConfig(loss="x")
+
+    def test_checkpoint_echoes_the_config(self):
+        cfg = TrainConfig(loss="bce_vs_fused", alpha=0.5, epochs=1, batch_size=2, seed=3,
+                          fusion=FusionConfig(method="scg", sigma=2.0))
+        ckpt = train(make_samples(2, np.random.default_rng(3)), cfg)
+        assert ckpt.config == {
+            "loss": "bce_vs_fused", "alpha": 0.5, "lr": 0.01, "epochs": 1, "batch_size": 2,
+            "seed": 3, "hidden_channels": 16, "fusion_method": "scg", "fusion_sigma": 2.0,
+        }
+
     def test_empty_split(self):
         with pytest.raises(EmptyTrainSplit):
             train([], TrainConfig(epochs=1))

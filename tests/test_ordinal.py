@@ -260,3 +260,24 @@ def _fd_logit_grad(z, target, alpha, h=1e-4):
         lm, _ = hybrid_loss(_softmax_probs(zm), target, alpha)
         num[idx] = (lp - lm) / (2 * h)
     return num
+
+
+@pytest.mark.parametrize("levels, message", [
+    (np.full((3, 2, 2), 1 / 3), "expected 4 level layers"),
+    (np.full((4, 2), 0.25), "expected 4 level layers"),
+    (np.array([-1e-6, 0.5, 0.5, 1e-6]).reshape(4, 1, 1), "must be >= 0"),
+    (np.full((4, 1, 1), 0.2), "must sum to 1"),
+])
+def test_ordinal_prob_map_rejects_malformed_levels(levels, message):
+    with pytest.raises(ValueError, match=message):
+        OrdinalProbMap(levels, num_raters=3)
+
+
+@pytest.mark.parametrize("target, message", [
+    (orc(np.zeros((4, 4)), 2), "target K=2 vs prediction K=3"),
+    (orc(np.zeros((4, 5)), 3), "spatial shapes differ"),
+])
+def test_hybrid_loss_rejects_a_mismatched_target(target, message):
+    probs = random_probs(np.random.default_rng(0), 3, (4, 4))
+    with pytest.raises(TargetOutOfRange, match=message):
+        hybrid_loss(probs, target, 0.8)
