@@ -13,13 +13,15 @@ their ValueError to exit 2. `main` also maps a dataset that cannot be loaded
 (`DatasetError`) and a failed allocation (`MemoryError`) to exit 1 with one
 stderr line. An output path that cannot be written exits 1.
 
-MRCAL_THREADS sizes the worker pool (`core.WorkerPool`) that runs inference
-images, synthetic samples and the samples of each training batch (0 or unset
-= the usable CPUs divided by the BLAS thread count, see `core.thread_cap`).
-Each image's map comes back in image order, each sample's random stream is
-keyed by (seed, index), synth writes its files in index order on the main
-thread, and train sums each batch's gradients on the main thread in
-permutation order, so the output never depends on it.
+MRCAL_THREADS sizes the one worker pool (`core.WorkerPool`) that runs
+inference images, synthetic samples and the samples of each training batch
+(0 or unset = the usable CPUs divided by the BLAS thread count, see
+`core.thread_cap`); leaving its `with` block, also on a failure, cancels the
+calls not yet started and joins the workers. Each image's map comes back in
+image order, each sample's random stream is keyed by (seed, index), synth
+writes its files in index order on the main thread, and train sums each
+batch's gradients on the main thread in permutation order, so the output
+never depends on it.
 """
 
 from __future__ import annotations

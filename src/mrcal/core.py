@@ -17,11 +17,11 @@ A RaterStack is one image's K rater masks as one read-only (K, H, W) uint8 array
 its `votes` and `majority` are the package's only vote count and majority rule.
 
 `WorkerPool` is the package's one worker pool, on `thread_cap()` threads
-(MRCAL_THREADS): inference images (each run band by band inline by its task)
-and synthetic samples run through `ordered_map`, which opens a pool for one
-call, and training opens one pool per `train` call for its mini-batches'
-samples. Every result comes back in item order, so no output depends on the
-thread count.
+(MRCAL_THREADS): `predict`, `generate` and `train` each open one and iterate
+its `map` over inference images (each run band by band inline by its task),
+synthetic samples or mini-batches' samples. Every result comes back in item
+order, so no output depends on the thread count; leaving the `with` block
+cancels the calls not yet started and joins the workers.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ class WorkerPool:
     that stay open from `with` to its end; with one worker, `map` runs every
     call inline on the calling thread and no thread is started.
 
-    Leaving the `with` block joins the workers (named `mrcal-worker_<n>`)
-    once every call still running has returned.
+    Leaving the `with` block, also by an exception, cancels every `map`'s
+    calls not yet started and joins the workers (named `mrcal-worker_<n>`)
+    once the running ones have returned: a consumer may stop at any point.
     """
 
     def __init__(self, max_tasks: int):
@@ -107,25 +108,19 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         if self._executor is not None:
-            self._executor.shutdown()
+            self._executor.shutdown(cancel_futures=True)
 
     def map(self, fn, items):
-        """Yield fn(item) for each item, in item order (see `_drain`)."""
-        return self._drain(fn, deque(items))
-
-    def _drain(self, fn, items: deque):
-        """Yield fn(item) for each item popped from the left of `items`.
+        """Yield fn(item) for each item, in item order.
 
         At most 2 x workers calls are submitted and not yet yielded, so only
         a few results are held at a time. Each item is held only until its
         call returns, so when the caller keeps no other reference, an item is
-        freed once it has been processed. If a call raises, or the consumer
-        stops early, the calls not yet started are cancelled before the
-        generator finishes; the exception raised is that of the first failing
-        item in item order. A consumer that may stop early closes the
-        generator (`contextlib.closing`), so that none of its calls stays
-        queued.
+        freed once it has been processed. If a call raises, the calls not yet
+        started are cancelled and the exception raised is that of the first
+        failing item in item order.
         """
+        items = deque(items)
         if self._executor is None:
             while items:
                 yield fn(items.popleft())
@@ -141,17 +136,6 @@ class WorkerPool:
         finally:
             for future in pending:
                 future.cancel()
-
-
-def ordered_map(fn, items):
-    """Yield fn(item) for each item, in item order, on a `WorkerPool` opened
-    for this call alone and sized by the number of items (`WorkerPool._drain`
-    has the window, order and cancel rules). The workers are joined before
-    the generator finishes; a consumer that may stop early closes it
-    (`contextlib.closing`), so that no worker outlives its loop."""
-    items = deque(items)
-    with WorkerPool(len(items)) as pool:
-        yield from pool._drain(fn, items)
 
 
 def json_text(obj) -> str:
@@ -394,10 +378,12 @@ def write_together(writers) -> None:
 
     `writers` maps each target path to a function that writes a given path.
     Each one writes a temporary file beside its target; only when every
-    write has succeeded are the temporaries renamed over their targets. A
-    failed write leaves no partial or temporary file behind and every
-    earlier target as it was. The targets must be distinct files: two
-    spellings of one file would share one temporary.
+    write has succeeded and no target is a directory (a symlink is replaced
+    itself) are the temporaries renamed over their targets; otherwise the
+    OSError names the target, and every target stays as it was, with no
+    temporary left. A rename that fails after an earlier one (e.g. EPERM or
+    EBUSY), or a crash between them, leaves the earlier targets replaced.
+    The targets must be distinct files, or two would share one temporary.
     """
     staged = {Path(p): (Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp"), write)
               for p, write in writers.items()}
@@ -409,11 +395,17 @@ def write_together(writers) -> None:
                 if exc.filename is not None:
                     exc.filename = str(path)  # name the target, not its temporary
                 raise
+        for path in staged:
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for path, (tmp, _) in staged.items():
             os.replace(tmp, path)
     finally:
         for tmp, _ in staged.values():
-            tmp.unlink(missing_ok=True)
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:  # never made (e.g. its parent is a file): keep the first error
+                pass
 
 
 def read_container(path):

@@ -18,13 +18,13 @@ ReLUs, conv2 and the head) per row band of at most BAND_PIXELS pixels, so
 every intermediate stays cache-sized at any image size. Training
 (`_forward_logits`) runs the same code as one whole-image band.
 
-`predict` runs a list of images through `core.ordered_map`, one image per
-task on its MRCAL_THREADS worker threads (see `core.thread_cap`). Each task,
-`_image_foreground`, runs the band loop inline, each band's head readout
-(softmax and majority-mass sum, or sigmoid) going into its rows of one (H, W)
-map, so no (K+1, H, W) array is built. Every step is per voxel and results
-come back in image order, so the maps are the same bit for bit at every
-thread count. The calling thread wraps each finished map in a
+`predict` runs a list of images through one `core.WorkerPool`'s `map`, one
+image per task on its MRCAL_THREADS worker threads (see `core.thread_cap`).
+Each task, `_image_foreground`, runs the band loop inline, each band's head
+readout (softmax and majority-mass sum, or sigmoid) going into its rows of
+one (H, W) map, so no (K+1, H, W) array is built. Every step is per voxel
+and results come back in image order, so the maps are the same bit for bit
+at every thread count. The calling thread wraps each finished map in a
 `ForegroundProbMap`, which checks it and stores one copy, so the maps that
 outlive the pool are allocated there, not in the workers' malloc arenas,
 whose freed memory glibc mostly keeps resident.
@@ -64,7 +64,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -80,7 +79,6 @@ from .core import (
     NonFiniteValues,
     WorkerPool,
     json_text,
-    ordered_map,
     read_container,
     write_container,
     write_together,
@@ -434,8 +432,10 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         """Read a checkpoint. A sidecar without `params_sha256` (written before
-        the field existed) loads unchecked. NaN or inf parameters raise
-        NonFiniteValues naming the file."""
+        the field existed) loads unchecked. A head that does not fit the
+        sidecar's rater count (`out_channels` neither 1 nor `num_raters` + 1)
+        raises ArchitectureMismatch naming the sidecar; NaN or inf parameters
+        raise NonFiniteValues naming the file."""
         path = Path(path)
         _, dims, flat = read_container(path)
         sidecar_path = path.with_suffix(path.suffix + ".json")
@@ -456,6 +456,12 @@ class Checkpoint:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ArchitectureMismatch(f"{sidecar_path}: malformed sidecar: {exc!r}") from exc
+        k, out = checkpoint.num_raters, checkpoint.out_channels
+        if k < 1:
+            raise ArchitectureMismatch(f"{sidecar_path}: num_raters must be >= 1, got {k}")
+        if out not in (1, k + 1):
+            raise ArchitectureMismatch(
+                f"{sidecar_path}: out_channels {out} is neither 1 nor num_raters + 1 = {k + 1}")
         if int(np.prod(dims)) != num_params:
             raise ArchitectureMismatch(
                 f"{path}: {int(np.prod(dims))} params on disk, descriptor says {num_params}"
@@ -557,14 +563,13 @@ def train(samples, cfg: TrainConfig) -> Checkpoint:
             for start in range(0, len(samples), cfg.batch_size):
                 batch, total = order[start : start + cfg.batch_size], {}
                 jobs = [(idx, target_of(idx, epoch * len(samples) + idx)) for idx in batch]
-                with closing(pool.map(sample_step, jobs)) as results:
-                    for loss, grads in results:
-                        if not np.isfinite(loss):
-                            raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
-                        losses.append(loss)
-                        # a running sum: a list of grads raised peak RSS
-                        for name in PARAM_NAMES:
-                            total[name] = total[name] + grads[name] if name in total else grads[name]
+                for loss, grads in pool.map(sample_step, jobs):
+                    if not np.isfinite(loss):
+                        raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
+                    losses.append(loss)
+                    # a running sum: a list of grads raised peak RSS
+                    for name in PARAM_NAMES:
+                        total[name] = total[name] + grads[name] if name in total else grads[name]
                 with np.errstate(over="ignore", invalid="ignore"):  # checked right below
                     for name in PARAM_NAMES:
                         net.params[name] = net.params[name] - cfg.lr * (total[name] / len(batch))
@@ -607,20 +612,20 @@ def predict(checkpoint: Checkpoint, images) -> list[ForegroundProbMap]:
     heads aggregate majority mass.
 
     `images` is any iterable of Grid2D. Every image's size is checked and
-    the net built before any worker starts; the images then run through
-    `ordered_map`, one per task (module docstring). Each image is held only
-    until its map is computed, so a caller that keeps no other reference
-    (as `eval` does) frees each image once it is predicted, and the maps
-    reuse its memory. Each map equals
+    the net built before any worker starts; the images then run through one
+    `WorkerPool`'s `map`, one per task (module docstring). Each image is
+    held only until its map is computed, so a caller that keeps no other
+    reference (as `eval` does) frees each image once it is predicted, and
+    the maps reuse its memory. Each map equals
     `aggregate_foreground(forward(net, image))`, or `forward(net, image)`
     for a sigmoid head, bit for bit. A non-finite map raises
     `NonFiniteValues`, that of the first such image in list order.
     """
     images = list(images)
     _check_size(*images)
-    tasks = ordered_map(partial(_image_foreground, checkpoint.net), [im.data for im in images])
-    del images  # each image now lives only until its task ends
-    with closing(tasks):
+    with WorkerPool(len(images)) as pool:
+        tasks = pool.map(partial(_image_foreground, checkpoint.net), [im.data for im in images])
+        del images  # each image now lives only until its task ends
         return [ForegroundProbMap(fg) for fg in tasks]
 
 

@@ -12,15 +12,16 @@ Noise fields are drawn on a padded canvas and smoothed with a 'valid'
 convolution so every voxel sees a full kernel window and sigma_eff is
 uniform across the image.
 
-`generate` computes the samples through `core.ordered_map`, on the
-MRCAL_THREADS worker threads, and writes each sample's files on the calling
-thread in index order. Each sample's random stream is keyed by (seed, index),
-so a dataset is byte-identical at every thread count.
+`generate` computes the samples through the `map` of one `core.WorkerPool`,
+on the MRCAL_THREADS worker threads, and writes each sample's files on the
+calling thread in index order; a failed write leaves the pool's `with`
+block, which cancels the samples not yet started and joins the workers. Each
+sample's random stream is keyed by (seed, index), so a dataset is
+byte-identical at every thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DTYPE_F32, DTYPE_U8, SPLITS, DatasetManifest, ManifestEntry, json_text, ordered_map,
+    DTYPE_F32, DTYPE_U8, SPLITS, DatasetManifest, ManifestEntry, WorkerPool, json_text,
     write_container,
 )
 from .fusion import gaussian_filter_valid, gaussian_kernel_1d
@@ -154,9 +155,8 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
     entries = []
     latent_paths = {}
     indices = range(cfg.num_samples)
-    samples = ordered_map(partial(_sample, cfg), indices)
-    with contextlib.closing(samples):  # a failed write stops the workers
-        for index, (latent, image, masks) in zip(indices, samples):
+    with WorkerPool(len(indices)) as pool:
+        for index, (latent, image, masks) in zip(indices, pool.map(partial(_sample, cfg), indices)):
             sample_id = f"s{index:04d}"
             image_path = f"images/{sample_id}.mrc"
             write_container(DTYPE_F32, image.shape, image, out_dir / image_path)

@@ -333,6 +333,36 @@ class TestTrainEval:
         assert str(report) in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_target_leaves_both_outputs_as_they_were(self, capsys, dataset, tmp_path):
+        csv, report = tmp_path / "rel.csv", tmp_path / "DIR"
+        csv.write_text("old\n")
+        report.mkdir()
+        code, stdout, err = run_cli(
+            capsys,
+            "eval", "--model", "oracle", "--data", str(dataset),
+            "--reliability", str(csv), "--report", str(report),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == f"cannot write eval output: [Errno 21] Is a directory: '{report}'\n"
+        assert csv.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "rel.csv"]
+        assert list(report.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--report", "--reliability"])
+    def test_output_under_a_file_names_the_target(self, capsys, dataset, tmp_path, flag):
+        """The temporary is never made; its cleanup does not replace the
+        write's error, which names the target."""
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        code, stdout, err = run_cli(
+            capsys, "eval", "--model", "oracle", "--data", str(dataset), flag, str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == f"cannot write eval output: [Errno 20] Not a directory: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     @pytest.mark.parametrize("report", ["out.txt", "x/../out.txt"])
     def test_report_and_reliability_on_one_file_is_usage_error(
         self, capsys, dataset, tmp_path, report
@@ -671,6 +701,34 @@ class TestTrainEval:
         assert err.startswith("cannot load model/predictions:")
         assert "malformed sidecar" in err
         assert err.count("\n") == 1
+
+    def test_head_that_does_not_fit_the_sidecar_raters_is_io_error(
+        self, capsys, dataset, tmp_path
+    ):
+        """A K=3 rps checkpoint whose sidecar claims K=5 is not evaluated on
+        a K=5 set: its 4-channel head fits neither 1 nor 5 + 1."""
+        ckpt = tmp_path / "m.mrc"
+        run_cli(
+            capsys,
+            "train", "--data", str(dataset), "--loss", "rps",
+            "--epochs", "1", "--out", str(ckpt),
+        )
+        sidecar_path = ckpt.with_suffix(".mrc.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["architecture"]["num_raters"] = 5
+        sidecar_path.write_text(json.dumps(sidecar))
+        data5 = tmp_path / "ds5"
+        main(["synth", "--out", str(data5), "--n", "8", "--size", "16", "--raters", "5"])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "eval", "--model", str(ckpt), "--data", str(data5), "--split", "test",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"cannot load model/predictions: {sidecar_path}: "
+            "out_channels 4 is neither 1 nor num_raters + 1 = 6\n"
+        )
 
     def test_checkpoint_rater_count_mismatch_is_io_error(self, capsys, dataset, tmp_path):
         ckpt = tmp_path / "model.mrc"

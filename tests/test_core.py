@@ -32,10 +32,10 @@ from mrcal.core import (
     UnsupportedDtype,
     WorkerPool,
     load_dataset,
-    ordered_map,
     parse_manifest,
     read_container,
     write_container,
+    write_together,
 )
 from mrcal.ordinal import OrcMap, OrdinalProbMap
 
@@ -407,6 +407,8 @@ def test_only_kept_images_are_converted(tmp_path, monkeypatch):
 
 
 class TestOrderedMap:
+    """`WorkerPool.map`: results in item order, a bounded window, cancel and join."""
+
     def test_results_come_back_in_item_order(self, monkeypatch):
         monkeypatch.setenv("MRCAL_THREADS", "4")
 
@@ -414,7 +416,8 @@ class TestOrderedMap:
             time.sleep(0.001 * (i % 5))  # later items often finish first
             return i * i
 
-        assert list(ordered_map(square, range(30))) == [i * i for i in range(30)]
+        with WorkerPool(30) as pool:
+            assert list(pool.map(square, range(30))) == [i * i for i in range(30)]
 
     @pytest.mark.parametrize("threads, n", [("1", 6), ("4", 1)])
     def test_runs_inline_on_the_calling_thread(self, monkeypatch, threads, n):
@@ -426,7 +429,8 @@ class TestOrderedMap:
             seen.append((threading.get_ident(), threading.active_count()))
             return i
 
-        assert list(ordered_map(record, range(n))) == list(range(n))
+        with WorkerPool(n) as pool:
+            assert list(pool.map(record, range(n))) == list(range(n))
         assert seen == [(threading.get_ident(), before)] * n
 
     def test_at_most_the_window_in_flight(self, monkeypatch):
@@ -441,10 +445,11 @@ class TestOrderedMap:
             return i
 
         ahead = []
-        for i in ordered_map(record, range(40)):
-            time.sleep(0.005)  # a slow consumer: the workers run as far ahead as they may
-            with lock:
-                ahead.append(max(started) - i)
+        with WorkerPool(40) as pool:
+            for i in pool.map(record, range(40)):
+                time.sleep(0.005)  # a slow consumer: the workers run as far ahead as they may
+                with lock:
+                    ahead.append(max(started) - i)
         # holding result i, items i .. i + 2 x workers - 1 are the most submitted
         assert max(ahead) == 2 * workers - 1
         assert sorted(started) == list(range(40))
@@ -465,8 +470,8 @@ class TestOrderedMap:
             return i
 
         results = []
-        with pytest.raises(ValueError, match="item 9"):
-            for result in ordered_map(work, range(100)):
+        with pytest.raises(ValueError, match="item 9"), WorkerPool(100) as pool:
+            for result in pool.map(work, range(100)):
                 results.append(result)
         assert results == list(range(9))
         assert max(started) < 9 + 2 * workers  # the rest were never started
@@ -490,8 +495,8 @@ class TestOrderedMap:
             time.sleep(0.2)
             return i
 
-        with pytest.raises(ValueError, match="item 0"):
-            list(ordered_map(work, range(10)))
+        with pytest.raises(ValueError, match="item 0"), WorkerPool(10) as pool:
+            list(pool.map(work, range(10)))
         assert {0, 1} <= started <= {0, 1, 2}
 
     def test_pool_serves_several_maps_then_joins(self, monkeypatch):
@@ -520,13 +525,24 @@ class TestOrderedMap:
             assert pool.workers == 2  # never more workers than tasks
 
     def test_consumer_that_stops_early_joins_workers(self, monkeypatch):
+        """A map left open at the `with` exit has its queued calls cancelled
+        and the workers joined, with no close() of the generator."""
         monkeypatch.setenv("MRCAL_THREADS", "4")
         before = threading.active_count()
-        results = ordered_map(lambda i: i, range(100))
-        assert next(results) == 0
-        assert threading.active_count() > before
-        results.close()
+        started = []
+
+        def record(i):
+            started.append(i)
+            time.sleep(0.5 if i else 0)
+            return i
+
+        with WorkerPool(100) as pool:
+            results = pool.map(record, range(100))
+            assert next(results) == 0
+            assert threading.active_count() > before
         assert threading.active_count() == before
+        # 2 x 4 calls were submitted; those queued behind the first round never ran
+        assert max(started) <= pool.workers
 
 
 def test_load_dataset_bad_json(tmp_path):
@@ -656,6 +672,18 @@ def test_write_container_rejects_bad_header(tmp_path, dtype, dims, error, messag
     with pytest.raises(error, match=message):
         write_container(dtype, dims, [], path)
     assert not path.exists()
+
+
+def test_write_together_error_names_the_target_when_no_temporary_is_made(tmp_path):
+    """A 250-byte name is a valid target, but its temporary's name is too
+    long: the write fails before the temporary exists, and its cleanup
+    keeps the write's error, which names the target."""
+    target = tmp_path / ("a" * 250)
+    with pytest.raises(OSError) as info:
+        write_together({target: lambda tmp: tmp.write_text("x")})
+    assert info.value.errno == errno.ENAMETOOLONG
+    assert info.value.filename == str(target)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):

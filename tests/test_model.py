@@ -473,6 +473,18 @@ class TestPredict:
         maps = predict(random_checkpoint(4, seed=5), (grids.pop() for _ in range(4)))
         assert len(maps) == len(held) == 4
 
+    def test_failing_image_leaves_no_worker(self, monkeypatch):
+        """A NaN image raises NonFiniteValues on the calling thread while
+        later images are still queued or running; leaving the pool joins
+        every worker."""
+        monkeypatch.setenv("MRCAL_THREADS", "4")
+        rng = np.random.default_rng(6)
+        images = [rng.random((40, 40)) for _ in range(12)]
+        images[2][5, 7] = np.nan
+        with pytest.raises(core.NonFiniteValues):
+            predict(random_checkpoint(4, seed=6), [Grid2D(im) for im in images])
+        assert workers_alive() == []
+
 
 class TestTraining:
     def test_unknown_loss(self):
@@ -730,6 +742,26 @@ class TestCheckpoint:
         with pytest.raises(core.NonFiniteValues, match=f"2 of {flat.size} parameters") as info:
             Checkpoint.load(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("loss, num_raters, message", [
+        ("hybrid_rps", 5, "out_channels 4 is neither 1 nor num_raters + 1 = 6"),
+        ("hybrid_rps", 2, "out_channels 4 is neither 1 nor num_raters + 1 = 3"),
+        ("bce_vs_fused", 0, "num_raters must be >= 1, got 0"),
+    ], ids=["rps-K5", "rps-K2", "sigmoid-K0"])
+    def test_head_that_does_not_fit_the_raters_rejected(self, tmp_path, loss, num_raters,
+                                                        message):
+        """The sha256 covers only the parameters, so an edited rater count
+        is caught by the head it must fit: 1 channel or K + 1."""
+        ckpt = train(make_samples(2, np.random.default_rng(22)), TrainConfig(loss=loss, epochs=1))
+        path = tmp_path / "model.mrc"
+        ckpt.save(path)
+        sidecar_path = path.with_suffix(".mrc.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["architecture"]["num_raters"] = num_raters
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ArchitectureMismatch) as info:
+            Checkpoint.load(path)
+        assert str(info.value) == f"{sidecar_path}: {message}"
 
     def test_sidecar_without_digest_loads(self, tmp_path):
         rng = np.random.default_rng(19)
