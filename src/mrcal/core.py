@@ -17,11 +17,12 @@ A RaterStack is one image's K rater masks as one read-only (K, H, W) uint8 array
 its `votes` and `majority` are the package's only vote count and majority rule.
 
 `WorkerPool` is the package's one worker pool, on `thread_cap()` threads
-(MRCAL_THREADS): `predict`, `generate` and `train` each open one and iterate
-its `map` over inference images (each run band by band inline by its task),
-synthetic samples or mini-batches' samples. Every result comes back in item
-order, so no output depends on the thread count; leaving the `with` block
-cancels the calls not yet started and joins the workers.
+(MRCAL_THREADS): `predict`, `generate`, `train` and `metrics.bootstrap_eval`
+each open one and iterate its `map` over inference images (each run band by
+band inline by its task), synthetic samples, mini-batches' samples, or the
+bootstrap's images, merge chunks and AUC passes. Every result comes back in
+item order, so no output depends on the thread count; leaving the `with`
+block cancels the calls not yet started and joins the workers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import math
 import os
 import struct
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,12 +66,12 @@ def _blas_threads(cpus: int) -> int:
 
 def thread_cap() -> int:
     """Worker threads of every `WorkerPool` (whole inference images, synth
-    samples, training samples): MRCAL_THREADS, where 0 or unset means the
-    CPUs this process may run on divided by the BLAS thread count, at least
-    1. The tasks run their GEMMs on BLAS's threads, so with BLAS unpinned
-    this is one worker; pool workers on top of a multi-threaded BLAS measured
-    slower than one. Raises ValueError naming the variable and its value when
-    it is not a non-negative integer."""
+    samples, training samples, the bootstrap's tasks): MRCAL_THREADS, where
+    0 or unset means the CPUs this process may run on divided by the BLAS
+    thread count, at least 1. The tasks run their GEMMs on BLAS's threads,
+    so with BLAS unpinned this is one worker; pool workers on top of a
+    multi-threaded BLAS measured slower than one. Raises ValueError naming
+    the variable and its value when it is not a non-negative integer."""
     raw = os.environ.get("MRCAL_THREADS", "0")
     try:
         cap = int(raw)
@@ -377,16 +379,20 @@ def write_together(writers) -> None:
     """Write several files so that either all of them or none change.
 
     `writers` maps each target path to a function that writes a given path.
-    Each one writes a temporary file beside its target; only when every
-    write has succeeded and no target is a directory (a symlink is replaced
-    itself) are the temporaries renamed over their targets; otherwise the
-    OSError names the target, and every target stays as it was, with no
-    temporary left. A rename that fails after an earlier one (e.g. EPERM or
-    EBUSY), or a crash between them, leaves the earlier targets replaced.
-    The targets must be distinct files, or two would share one temporary.
+    Each one writes a temporary file beside its target, named
+    `.<pid>.<thread id>.<index of the target>.tmp`, so any valid target name
+    has a valid temporary and no two calls running at once share one. Only
+    when every write has succeeded and no target is a directory (a symlink
+    is replaced itself) are the temporaries renamed over their targets;
+    otherwise the OSError names the target, and every target stays as it
+    was, with no temporary left. A rename that fails after an earlier one
+    (e.g. EPERM or EBUSY), or a crash between them, leaves the earlier
+    targets replaced. The targets must be distinct files, or one would
+    replace the other.
     """
-    staged = {Path(p): (Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp"), write)
-              for p, write in writers.items()}
+    prefix = f".{os.getpid()}.{threading.get_native_id()}"
+    staged = {Path(p): (Path(p).with_name(f"{prefix}.{i}.tmp"), write)
+              for i, (p, write) in enumerate(writers.items())}
     try:
         for path, (tmp, write) in staged.items():
             try:

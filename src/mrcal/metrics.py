@@ -14,15 +14,23 @@ images with replacement. The pooled scores are sorted once; a replicate's
 AUC is then one cumulative sum over that sort, weighted by how often each
 image was drawn, and its MR-ECE merges per-image bins. `auc()` runs the same
 kernel on one image.
+
+`bootstrap_eval` runs on one `core.WorkerPool`: a task per image (its bins
+and its sorted scores), a task per value range to build the kernel, then a
+task per AUC pass. Every array that outlives a task is made on the calling
+thread, tasks call only private helpers, and results come back in order, so
+a report is the same bit for bit at every thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from queue import SimpleQueue
 
 import numpy as np
 
-from .core import BinaryMask, DimensionMismatch, ForegroundProbMap, json_text
+from .core import BinaryMask, DimensionMismatch, ForegroundProbMap, WorkerPool, json_text
 
 
 class SingleClassReference(Exception):
@@ -124,38 +132,34 @@ def _as_pred_array(pred) -> np.ndarray:
     return np.asarray(pred, dtype=np.float64)
 
 
-def _image_bins(preds, stacks, cfg: EvalConfig) -> list[CalibrationBins]:
-    """One CalibrationBins per (prediction, rater stack) sample, in order.
+def _num_raters(preds, stacks) -> int:
+    """K of the first stack, once preds and stacks pair up."""
+    if len(preds) != len(stacks):
+        raise ValueError("preds and stacks must have equal length")
+    if not stacks:
+        raise EmptyTestSet("no samples")
+    return stacks[0].num_raters
+
+
+def _sample_bins(pred: np.ndarray, stack, k: int, cfg: EvalConfig) -> CalibrationBins:
+    """The CalibrationBins of one (prediction, rater stack) sample.
 
     Each voxel adds K items at its prediction. Their label sum is the
     foreground vote count in frequency mode; in top_label mode it is the
     number of raters who agree with the thresholded prediction I(p >= TAU),
     as in `ece_single`.
     """
-    if len(preds) != len(stacks):
-        raise ValueError("preds and stacks must have equal length")
-    if not stacks:
-        raise EmptyTestSet("no samples")
-    k = stacks[0].num_raters
-    out = []
-    for pred, stack in zip(preds, stacks):
-        pred = _as_pred_array(pred)
-        if stack.num_raters != k:
-            raise InconsistentRaterCount(
-                f"expected K={k}, got K={stack.num_raters}"
-            )
-        if pred.shape != stack.shape:
-            raise DimensionMismatch(
-                f"prediction {pred.shape} vs stack {stack.shape}"
-            )
-        pred = pred.ravel()
-        labels = stack.votes().ravel()
-        if cfg.ece_mode == "top_label":
-            labels = np.where(pred >= TAU, labels, k - labels)
-        bins = CalibrationBins(cfg.num_bins)
-        bins.add(pred, labels, weight=k)
-        out.append(bins)
-    return out
+    if stack.num_raters != k:
+        raise InconsistentRaterCount(f"expected K={k}, got K={stack.num_raters}")
+    if pred.shape != stack.shape:
+        raise DimensionMismatch(f"prediction {pred.shape} vs stack {stack.shape}")
+    pred = pred.ravel()
+    labels = stack.votes().ravel()
+    if cfg.ece_mode == "top_label":
+        labels = np.where(pred >= TAU, labels, k - labels)
+    bins = CalibrationBins(cfg.num_bins)
+    bins.add(pred, labels, weight=k)
+    return bins
 
 
 def _merged(image_bins: list[CalibrationBins], idx, num_bins: int) -> CalibrationBins:
@@ -171,7 +175,8 @@ def mr_ece(preds, stacks, cfg: EvalConfig):
 
     Returns (value, populated CalibrationBins).
     """
-    image_bins = _image_bins(preds, stacks, cfg)
+    k = _num_raters(preds, stacks)
+    image_bins = [_sample_bins(_as_pred_array(p), s, k, cfg) for p, s in zip(preds, stacks)]
     bins = _merged(image_bins, range(len(image_bins)), cfg.num_bins)
     return bins.ece_value(), bins
 
@@ -198,67 +203,179 @@ def ece_single(pred, mask: BinaryMask, cfg: EvalConfig) -> float:
     return bins.ece_value()
 
 
+def _sorted_runs(scores: np.ndarray, positive: np.ndarray, out: np.ndarray) -> int:
+    """Write one image's positive scores, sorted, then its negative scores,
+    sorted, into `out`; return the positive count."""
+    n_pos = int(np.count_nonzero(positive))
+    np.compress(positive, scores, out=out[:n_pos])
+    np.compress(~positive, scores, out=out[n_pos:])
+    out[:n_pos].sort()
+    out[n_pos:].sort()
+    return n_pos
+
+
+def _count_dtype(top: int):
+    """The smaller integer dtype that holds every value in [0, top]."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
+CHUNK_SCORES = 2 ** 17  # about this many sorted positions per merge task
+
+
 class _MannWhitney:
     """Mann-Whitney AUC of any multiset of a fixed list of images.
 
-    Built from one argsort of the pooled scores, which gathers each sorted
-    position's image and label; the kernel's own concatenated copy of the
-    scores is then sorted in place (the caller's arrays never change). Each
-    sorted position keeps only its image index, and each positive keeps its
-    image and the bounds [lo, hi) of its tie group in the sorted order,
-    found by searchsorted, so -0.0 and 0.0 tie and all NaNs (sorted last)
-    tie, as in np.unique, and the order of tied values never matters. The
-    scores and the sort are freed before any replicate runs.
+    Built on a `WorkerPool` from `runs`, which holds each image's scores
+    as two sorted runs (`_sorted_runs`), its positives' then its
+    negatives', at the image's offset. The calling thread cuts the value
+    range at pivots taken from a sorted strided sample of `runs`; since
+    every run is cut at the same values, equal scores (-0.0 and 0.0 too,
+    and all NaNs, sorted last, as in np.unique) share a chunk. Each chunk's
+    task merges its slices of the runs with one argsort, writes the image
+    index of each of its sorted positions, and, for each positive, the
+    bounds [lo, hi) of its tie group in the pooled sorted order, read off
+    where the sorted values change; a chunk whose scores all tie (few score
+    levels) skips the argsort. The order of tied values never matters.
+    Every array that outlives a task (`image`, `bounds`, and the passes'
+    `cum` buffers) is made on the calling thread, so none stays in a
+    worker's malloc arena.
+    `bounds` holds each image's positives' lo values, then their hi values,
+    in image order, so a pass sums them image by image and builds no
+    positive-sized array.
 
     For image multiplicities m, position p has weight w_p = m[image of p]
     and cum is the exclusive cumsum of w, so a tie group's midrank is
     (cum[lo] + cum[hi] + 1) / 2. With n_pos = sum of w over positives,
     2U = sum over positives of w * (cum[lo] + cum[hi] + 1) - n_pos * (n_pos + 1)
-       = sum over positives of w * (cum[lo] + cum[hi]) - n_pos**2,
+       = sum over images i of m[i] * (sum of cum over i's bounds) - n_pos**2,
     in exact integers: twice the Mann-Whitney U of the multiset's concatenated
     scores, so every AUC is the same float as ranking the multiset afresh.
-    The int64 sums hold while a multiset has fewer than about 3e9 scores.
+    `cum` is int32 when the largest multiset's score count fits, else int64;
+    each image's sum is int64, which holds while an image's positives times
+    a multiset's scores stay below about 4e18.
     """
 
-    def __init__(self, scores, labels):
-        n = len(scores)
-        self.sizes = np.array([s.size for s in scores], dtype=np.int64)
-        self.pos_counts = np.array([y.sum() for y in labels], dtype=np.int64)
-        values = np.concatenate([s.ravel() for s in scores])
-        order = np.argsort(values)
-        self.image = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), self.sizes)[order]
-        pos = np.flatnonzero(np.concatenate([y.ravel() for y in labels])[order])
-        del order
-        values.sort()  # equal to values[order] up to the order of ties
-        self.pos_image = self.image[pos]
-        tied = values[pos]
-        del pos
-        self.lo = np.searchsorted(values, tied, "left")
-        self.hi = np.searchsorted(values, tied, "right")
-        del values, tied
-        self.cum = None
+    def __init__(self, runs: np.ndarray, sizes, pos_counts, pool: WorkerPool):
+        n = len(sizes)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.pos_counts = np.asarray(pos_counts, dtype=np.int64)
+        starts = np.cumsum(self.sizes) - self.sizes
+        # run r is image r // 2's positives (r even) or negatives (r odd)
+        cuts = np.append(np.column_stack((starts, starts + self.pos_counts)).ravel(), runs.size)
+        chunks = max(pool.workers, -(-runs.size // CHUNK_SCORES))
+        sample = np.sort(runs[:: max(1, runs.size // (64 * chunks))])
+        pivots = np.unique(sample[len(sample) * np.arange(1, chunks) // chunks])
+        # edges[r, c:c + 2] bounds run r's slice of chunk c
+        edges = np.empty((2 * n, len(pivots) + 2), dtype=np.int64)
+        edges[:, 0], edges[:, -1] = cuts[:-1], cuts[1:]
+        for r in range(2 * n):
+            edges[r, 1:-1] = cuts[r] + np.searchsorted(runs[cuts[r] : cuts[r + 1]], pivots)
+        offsets = np.append(0, np.cumsum((edges[:, 1:] - edges[:, :-1]).sum(axis=0)))
+        self.image = np.empty(runs.size, dtype=np.min_scalar_type(n - 1))
+        self.blocks = np.append(0, 2 * np.cumsum(self.pos_counts))
+        self.bounds = np.empty(self.blocks[-1], dtype=_count_dtype(runs.size))
+        merge = partial(self._merge, runs, cuts, edges, offsets)
+        for _ in pool.map(merge, np.flatnonzero(offsets[1:] > offsets[:-1])):
+            pass
 
-    def auc(self, m: np.ndarray) -> float | None:
-        """AUC of the images drawn m[i] times each; None if one class."""
+    def _merge(self, runs, cuts, edges, offsets, c: int) -> None:
+        """Chunk c's task: write the image index of each of its sorted
+        positions, and the tie bounds of each of its positives."""
+        lo, hi = edges[:, c], edges[:, c + 1]
+        held = np.flatnonzero(hi > lo)
+        lengths = (hi - lo)[held]
+        at = np.cumsum(lengths) - lengths  # run held[j]'s slice in the chunk
+        start, stop = offsets[c], offsets[c + 1]
+        extremes = runs[np.append(lo[held], hi[held] - 1)]
+        # one tie group, whose order is free, and which may far outgrow CHUNK_SCORES
+        if extremes.min() == extremes.max():
+            for r, a, size in zip(held, at, lengths):
+                self.image[start + a : start + a + size] = r // 2
+            group = None
+        else:
+            values = np.concatenate([runs[lo[r] : hi[r]] for r in held])
+            order = np.argsort(values)
+            ids = np.repeat((held // 2).astype(self.image.dtype), lengths)
+            np.take(ids, order, out=self.image[start:stop])
+            del ids
+            values.sort()  # equal to values[order] up to the order of ties
+            # a tie group begins where the sorted value changes; the NaNs, sorted last, all tie
+            begins = np.empty(values.size, dtype=bool)
+            begins[0] = True
+            np.not_equal(values[1:], values[:-1], out=begins[1:])
+            begins[np.searchsorted(values, np.nan) + 1 :] = False
+            del values
+            # the tie group of each chunk entry, in the concatenated order
+            group = np.empty(order.size, dtype=self.bounds.dtype)
+            group[order] = np.cumsum(begins, dtype=group.dtype)
+            group -= 1
+            del order
+            group_lo = np.flatnonzero(begins).astype(self.bounds.dtype)
+            del begins
+            group_hi = np.empty_like(group_lo)
+            group_hi[:-1], group_hi[-1] = group_lo[1:], stop - start
+            group_lo += start
+            group_hi += start
+        for r, a, size in zip(held, at, lengths):
+            if r % 2:
+                continue
+            first = self.blocks[r // 2] + lo[r] - cuts[r]
+            out_lo = self.bounds[first : first + size]
+            out_hi = self.bounds[first + self.pos_counts[r // 2] :][:size]
+            if group is None:
+                out_lo[:], out_hi[:] = start, stop
+            else:
+                np.take(group_lo, group[a : a + size], out=out_lo)
+                np.take(group_hi, group[a : a + size], out=out_hi)
+
+    def aucs(self, multisets, pool: WorkerPool):
+        """The AUC of each multiset (draw counts per image), in order, None
+        where it holds one class: one pool task per multiset, each filling
+        a `cum` buffer of its own, made here on the calling thread."""
+        dtype = _count_dtype(max(int(m @ self.sizes) for m in multisets))
+        cums = SimpleQueue()
+        for _ in range(min(pool.workers, len(multisets))):
+            cum = np.empty(self.image.size + 1, dtype=dtype)
+            cum[0] = 0
+            cums.put(cum)
+
+        def task(m):
+            cum = cums.get()
+            try:
+                return self._auc(m, cum)
+            finally:
+                cums.put(cum)
+
+        return pool.map(task, multisets)
+
+    def _auc(self, m: np.ndarray, cum: np.ndarray) -> float | None:
         n_pos = int(m @ self.pos_counts)
         n_neg = int(m @ self.sizes) - n_pos
         if n_pos == 0 or n_neg == 0:
             return None
-        if self.cum is None:
-            self.cum = np.zeros(self.image.size + 1, dtype=np.int64)
-        cum = self.cum
-        np.take(m, self.image, out=cum[1:], mode="clip")
-        np.cumsum(cum[1:], out=cum[1:])
-        w = np.take(m, self.pos_image)
-        twice_u = int(w @ np.take(cum, self.lo)) + int(w @ np.take(cum, self.hi)) - n_pos * n_pos
+        m_cum = m.astype(cum.dtype)
+        for a in range(0, self.image.size, CHUNK_SCORES):  # take copies its indices as intp
+            b = min(a + CHUNK_SCORES, self.image.size)
+            np.take(m_cum, self.image[a:b], out=cum[a + 1 : b + 1], mode="clip")
+        np.cumsum(cum[1:], out=cum[1:], dtype=cum.dtype)
+        twice_u = -n_pos * n_pos
+        for i in np.flatnonzero(m * self.pos_counts):
+            bounds = self.bounds[self.blocks[i] : self.blocks[i + 1]]
+            twice_u += int(m[i]) * int(np.take(cum, bounds).sum(dtype=np.int64))
         return float(twice_u / 2 / (n_pos * n_neg))
 
 
 def auc(pred, reference: BinaryMask) -> float:
     """Mann-Whitney AUC: P(score of random positive > random negative),
     ties counted 0.5."""
-    kernel = _MannWhitney([_as_pred_array(pred)], [reference.data.astype(bool)])
-    value = kernel.auc(np.ones(1, dtype=np.int64))
+    pred = _as_pred_array(pred)
+    if pred.shape != reference.shape:
+        raise DimensionMismatch(f"prediction {pred.shape} vs reference {reference.shape}")
+    runs = np.empty(pred.size)
+    n_pos = _sorted_runs(pred.ravel(), reference.data.ravel().astype(bool), runs)
+    with WorkerPool(1) as pool:
+        kernel = _MannWhitney(runs, [pred.size], [n_pos], pool)
+        (value,) = kernel.aucs([np.ones(1, dtype=np.int64)], pool)
     if value is None:
         raise SingleClassReference("reference must contain both classes")
     return value
@@ -309,31 +426,44 @@ def bootstrap_eval(preds, stacks, cfg: EvalConfig) -> MetricReport:
     """Point estimates plus image-level bootstrap mean/std of MR-ECE and AUC.
 
     Each replicate draws ceil(frac * n) images with replacement; stddev is
-    the population form (divide by N). The pooled scores are sorted once
-    (`_MannWhitney`): a replicate's AUC is one O(N) pass that weights every
-    sorted score by its image's draw count, and its MR-ECE merges the
-    per-image bins in draw order, so every replicate equals a fresh
-    evaluation of its images, bit for bit. The point estimate's bins are
-    returned in `MetricReport.bins`.
+    the population form (divide by N). The work runs on one `WorkerPool`:
+    one task per image computes its bins and writes its sorted scores
+    (`_sorted_runs`) into an array made on the calling thread; tasks over
+    value ranges merge them into one Mann-Whitney kernel (`_MannWhitney`);
+    then the point and each replicate AUC run one per task, each one O(N)
+    pass that weights every sorted score by its image's draw count. Each
+    replicate's MR-ECE merges the per-image bins in draw order on the
+    calling thread. So every replicate equals a fresh evaluation of its
+    images, bit for bit, at every thread count. The point estimate's bins
+    are returned in `MetricReport.bins`.
     """
     if not stacks:
         raise EmptyTestSet("test set is empty")
     preds = [_as_pred_array(p) for p in preds]
-    image_bins = _image_bins(preds, stacks, cfg)
-    kernel = _MannWhitney(preds, [s.majority() for s in stacks])
-
+    k = _num_raters(preds, stacks)
     n = len(stacks)
-    point_bins = _merged(image_bins, range(n), cfg.num_bins)
-    point_auc = kernel.auc(np.ones(n, dtype=np.int64))
+    sizes = np.array([p.size for p in preds], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
     draw = int(np.ceil(cfg.bootstrap_frac * n))
     rng = np.random.default_rng(cfg.seed)
-    eces, aucs = [], []
-    for _ in range(cfg.bootstrap_n):
-        idx = rng.integers(0, n, size=draw)
-        eces.append(_merged(image_bins, idx, cfg.num_bins).ece_value())
-        aucs.append(kernel.auc(np.bincount(idx, minlength=n)))
+    draws = [rng.integers(0, n, size=draw) for _ in range(cfg.bootstrap_n)]
+    multisets = [np.ones(n, dtype=np.int64)] + [np.bincount(idx, minlength=n) for idx in draws]
 
-    eces = np.array(eces)
+    runs = np.empty(int(sizes.sum()))
+
+    def score_image(i):
+        bins = _sample_bins(preds[i], stacks[i], k, cfg)
+        run = runs[starts[i] : starts[i] + sizes[i]]
+        return bins, _sorted_runs(preds[i].ravel(), stacks[i].majority().ravel(), run)
+
+    with WorkerPool(max(n, len(multisets))) as pool:
+        image_bins, pos_counts = zip(*pool.map(score_image, range(n)))
+        kernel = _MannWhitney(runs, sizes, pos_counts, pool)
+        del runs
+        point_auc, *aucs = kernel.aucs(multisets, pool)
+
+    point_bins = _merged(image_bins, range(n), cfg.num_bins)
+    eces = np.array([_merged(image_bins, idx, cfg.num_bins).ece_value() for idx in draws])
     have_auc = point_auc is not None and all(a is not None for a in aucs)
     aucs_arr = np.array(aucs, dtype=np.float64) if have_auc else None
     return MetricReport(

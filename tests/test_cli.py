@@ -367,8 +367,7 @@ class TestTrainEval:
     def test_report_and_reliability_on_one_file_is_usage_error(
         self, capsys, dataset, tmp_path, report
     ):
-        # one file cannot be both outputs: the CSV would be lost, or the two
-        # staged writes would share one temporary
+        # one file cannot be both outputs: the report would replace the CSV
         code, stdout, err = run_cli(
             capsys,
             "eval", "--model", "oracle", "--data", str(dataset),
@@ -1077,25 +1076,29 @@ class TestEntryPoint:
         assert not (tmp_path / "ds").exists()
 
     def test_eval_identical_across_thread_counts(self, dataset, tmp_path):
-        # 128x128 images run 4 inference bands each
+        # 128x128 images run 4 inference bands each; 18 test images are 294,912
+        # scores, which the bootstrap's kernel merges in 3 or more value-range
+        # chunks (metrics.CHUNK_SCORES)
         ckpt, data = tmp_path / "m.mrc", tmp_path / "big"
         assert main(["train", "--data", str(dataset), "--loss", "rps", "--epochs", "2",
                      "--out", str(ckpt)]) == 0
-        assert main(["synth", "--out", str(data), "--n", "6", "--size", "128", "--seed", "4"]) == 0
+        assert main(["synth", "--out", str(data), "--n", "120", "--size", "128", "--seed", "4"]) == 0
         report, rel = tmp_path / "r.json", tmp_path / "r.csv"
-        digests = set()
-        for threads in ("1", "2", "4"):
-            for blas in ("1", "2"):
-                result = subprocess.run(
-                    [sys.executable, "-m", "mrcal.cli", "eval", "--model", str(ckpt),
-                     "--data", str(data), "--report", str(report), "--reliability", str(rel)],
-                    capture_output=True, text=True,
-                    env=child_env(MRCAL_THREADS=threads, OPENBLAS_NUM_THREADS=blas,
-                                  OMP_NUM_THREADS=blas),
-                )
-                assert result.returncode == 0, result.stderr
-                digests.add(hashlib.sha256(report.read_bytes() + rel.read_bytes()).hexdigest())
-        assert len(digests) == 1
+        for model in (str(ckpt), "oracle"):
+            digests = set()
+            for threads in ("1", "2", "4"):
+                for blas in ("1", "2"):
+                    result = subprocess.run(
+                        [sys.executable, "-m", "mrcal.cli", "eval", "--model", model,
+                         "--data", str(data), "--bootstrap", "25",
+                         "--report", str(report), "--reliability", str(rel)],
+                        capture_output=True, text=True,
+                        env=child_env(MRCAL_THREADS=threads, OPENBLAS_NUM_THREADS=blas,
+                                      OMP_NUM_THREADS=blas),
+                    )
+                    assert result.returncode == 0, result.stderr
+                    digests.add(hashlib.sha256(report.read_bytes() + rel.read_bytes()).hexdigest())
+            assert len(digests) == 1, model
 
     @pytest.mark.parametrize("loss", ["rps", "sc"])
     def test_train_identical_across_blas_threads(self, dataset, tmp_path, loss):

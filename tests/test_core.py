@@ -675,15 +675,23 @@ def test_write_container_rejects_bad_header(tmp_path, dtype, dims, error, messag
 
 
 def test_write_together_error_names_the_target_when_no_temporary_is_made(tmp_path):
-    """A 250-byte name is a valid target, but its temporary's name is too
-    long: the write fails before the temporary exists, and its cleanup
-    keeps the write's error, which names the target."""
-    target = tmp_path / ("a" * 250)
+    """The target's parent is a file: the write fails before the temporary
+    exists, and its cleanup keeps the write's error, which names the target."""
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "out"
     with pytest.raises(OSError) as info:
         write_together({target: lambda tmp: tmp.write_text("x")})
-    assert info.value.errno == errno.ENAMETOOLONG
+    assert info.value.errno == errno.ENOTDIR
     assert info.value.filename == str(target)
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_write_together_writes_a_target_name_near_the_limit(tmp_path):
+    # a 250-byte name is valid, so its temporary's name must be too
+    targets = [tmp_path / ("a" * 250), tmp_path / ("b" * 255)]
+    write_together({t: (lambda tmp, t=t: tmp.write_text(t.name[0])) for t in targets})
+    assert sorted(p.name for p in tmp_path.iterdir()) == [t.name for t in targets]
+    assert [t.read_text() for t in targets] == ["a", "b"]
 
 
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):

@@ -1,10 +1,15 @@
+import os
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mrcal.core import BinaryMask, DimensionMismatch, RaterStack
+from mrcal import metrics
+from mrcal.core import BinaryMask, DimensionMismatch, RaterStack, WorkerPool
 from mrcal.metrics import (
     CalibrationBins,
     EmptyTestSet,
@@ -12,6 +17,8 @@ from mrcal.metrics import (
     InconsistentRaterCount,
     MetricReport,
     SingleClassReference,
+    _MannWhitney,
+    _sorted_runs,
     auc,
     bootstrap_eval,
     ece_single,
@@ -430,6 +437,102 @@ class TestBootstrapOneSort:
         assert rep.auc == 0.75
         assert rep.auc_boot_mean is None and rep.auc_boot_std is None
         assert rep.to_json() == _reference_bootstrap(preds, stacks, cfg).to_json()
+
+
+def _pooled_aucs(scores, labels, multisets) -> list:
+    """The AUC of each multiset from one `_MannWhitney` built on a pool, as
+    `bootstrap_eval` builds it."""
+    sizes = np.array([s.size for s in scores])
+    runs = np.empty(sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    pos_counts = [_sorted_runs(s, y, runs[a : a + s.size]) for s, y, a in zip(scores, labels, starts)]
+    with WorkerPool(max(len(scores), len(multisets))) as pool:
+        kernel = _MannWhitney(runs, sizes, pos_counts, pool)
+        return list(kernel.aucs(multisets, pool))
+
+
+THREADS = ("1", "2", "4")
+
+
+class TestPooledKernel:
+    @staticmethod
+    def _draw_images(data, nans=True):
+        """Images of unequal sizes, n = 1 up to 257 (past the uint8 image
+        index), with few score levels (many ties), -0.0 beside 0.0, and
+        NaNs if `nans`; image 0 holds one class only."""
+        n = data.draw(st.sampled_from((1, 2, 5, 257)), label="n")
+        levels = data.draw(st.sampled_from((1, 3, 17, 1000)), label="levels")
+        max_size = data.draw(st.sampled_from((1, 4, 60)), label="max_size")
+        nan_frac = data.draw(st.sampled_from((0.0, 0.2)), label="nan_frac") if nans else 0.0
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scores, labels = [], []
+        for size in rng.integers(1, max_size + 1, size=n):
+            values = rng.integers(-levels, levels + 1, size=size) / levels
+            values[rng.random(size) < 0.5] *= -1.0  # -0.0 and 0.0 must tie
+            values[rng.random(size) < nan_frac] = np.nan  # NaNs tie with each other
+            scores.append(values)
+            labels.append(rng.random(size) < rng.random())
+        labels[0][:] = rng.random() < 0.5
+        return rng, scores, labels
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_unique_midranks_of_each_multiset(self, data):
+        rng, scores, labels = self._draw_images(data)
+        n = len(scores)
+        multisets = [np.ones(n, dtype=np.int64), np.eye(1, n, dtype=np.int64)[0]]
+        multisets += list(rng.integers(0, 4, size=(5, n)))
+        expected = [
+            _midrank_auc(np.concatenate([s for s, k in zip(scores, m) for _ in range(k)] or [[]]),
+                         np.concatenate([y for y, k in zip(labels, m) for _ in range(k)] or [[]]))
+            for m in multisets
+        ]
+        assert expected[1] is None  # image 0 alone holds one class
+        # small chunks give many merge tasks, one-value chunks and many pass blocks
+        chunk = data.draw(st.sampled_from((3, 64, metrics.CHUNK_SCORES)), label="chunk")
+        for threads in THREADS:
+            with mock.patch.dict(os.environ, MRCAL_THREADS=threads), \
+                    mock.patch.object(metrics, "CHUNK_SCORES", chunk):
+                assert _pooled_aucs(scores, labels, multisets) == expected
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reports_bit_equal_across_thread_counts(self, data):
+        rng, scores, _ = self._draw_images(data, nans=False)  # a NaN has no ECE bin
+        preds = [np.where(s > 0, s, -s)[None] for s in scores]  # into [0, 1], keeping -0.0
+        stacks = [stack_from(rng.integers(0, 2, size=(3, *p.shape))) for p in preds]
+        stacks[0] = stack_from(np.ones((3, *preds[0].shape)))  # single-class replicates
+        cfg = EvalConfig(bootstrap_n=data.draw(st.integers(1, 12)), seed=data.draw(st.integers(0, 99)),
+                         bootstrap_frac=data.draw(st.sampled_from((0.01, 0.6, 1.0))))
+        reports = set()
+        for threads in THREADS:
+            with mock.patch.dict(os.environ, MRCAL_THREADS=threads), \
+                    mock.patch.object(metrics, "CHUNK_SCORES", 5):
+                rep = bootstrap_eval(preds, stacks, cfg)
+            reports.add(rep.to_json() + repr(rep.bins.counts) + rep.bins.conf_sums.tobytes().hex())
+        assert len(reports) == 1
+        assert rep.to_json() == _reference_bootstrap(preds, stacks, cfg).to_json()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_heap_per_score(self, monkeypatch, threads):
+        """The heap bootstrap_eval adds above its inputs, about 1M scores. A
+        serial kernel (one pooled argsort, int64 cum, intp take indices)
+        peaked at 25.5 B/score here; the pooled kernel at 17.3 (1 worker)
+        and 19.5 (2 workers), its largest arrays being the sorted scores
+        (8 B), one int32 cum per worker (4 B) and the positives' bounds."""
+        monkeypatch.setenv("MRCAL_THREADS", threads)
+        rng = np.random.default_rng(0)
+        preds = [rng.random((256, 256)) for _ in range(16)]
+        stacks = [RaterStack(rng.random((3, 256, 256)) < p) for p in preds]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bootstrap_eval(preds, stacks, EvalConfig())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / sum(p.size for p in preds) < 22.0
 
 
 class TestReliabilityCsv:
